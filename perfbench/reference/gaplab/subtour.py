@@ -1,0 +1,321 @@
+"""Exact subtour-LP optimum by cutting planes, plus the half-integral witness.
+
+The LP has one variable per unordered point pair with 0 <= x_e <= 1,
+degree equalities sum_{e at v} x_e = 2, and a subset constraint
+sum_{e inside S} x_e <= |S| - 1 for every proper nonempty S.  Constraints
+are added lazily: solve with the rows accumulated so far, find a violated
+subset as a global minimum cut below 2 on the fractional support graph
+(Stoer-Wagner), repeat until none remains.  At that point the objective
+is the subtour-LP optimum, also known as the Held-Karp bound.
+"""
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import lp_solver
+from .instances import (
+    DomainError,
+    Instance,
+    coerce_points,
+    generate,
+    lp_distance,
+    pairwise_distances,
+)
+from .lp_solver import DenseLp, LpStatus
+
+SEPARATION_TOL = 1e-6   # a cut below 2 - this counts as violated
+SUPPORT_EPS = 1e-9      # edge values above this form the support graph
+CUT_ROUND_FACTOR = 10   # cut rounds capped at this times the point count
+
+
+class SubtourSolveError(RuntimeError):
+    """LP failure or stalled separation inside the cutting-plane loop."""
+
+
+class CutRoundLimitError(SubtourSolveError):
+    """Cut-round cap reached with violated subsets still outstanding."""
+
+
+@dataclass(frozen=True)
+class CutRecord:
+    """A subset added as a violated constraint, with its violation
+    2 - cut_value at the moment of discovery."""
+
+    subset: frozenset[int]
+    violation: float
+
+
+@dataclass
+class EdgeValueMap:
+    """Fractional edge values x_e over unordered point pairs."""
+
+    n_points: int
+    edges: dict[tuple[int, int], float]
+    objective_value: float
+
+    def value(self, i: int, j: int) -> float:
+        if i == j:
+            return 0.0
+        return self.edges.get((min(i, j), max(i, j)), 0.0)
+
+    def as_matrix(self) -> np.ndarray:
+        W = np.zeros((self.n_points, self.n_points))
+        for (i, j), v in self.edges.items():
+            W[i, j] = W[j, i] = v
+        return W
+
+    def degrees(self) -> np.ndarray:
+        return self.as_matrix().sum(axis=1)
+
+    def max_degree_violation(self) -> float:
+        return float(np.abs(self.degrees() - 2.0).max())
+
+    def min_cut(self) -> float:
+        value, _side, _ = stoer_wagner(self.as_matrix())
+        return value
+
+    def to_json(self) -> str:
+        rows = [[i, j, v] for (i, j), v in sorted(self.edges.items())]
+        return json.dumps({"edges": rows, "objective": self.objective_value}) + "\n"
+
+
+def edge_endpoints(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays of the n(n-1)/2 unordered pairs in row-major order."""
+    iu = np.triu_indices(n, k=1)
+    return iu[0], iu[1]
+
+
+def _edge_value_map(n: int, values: np.ndarray, objective: float) -> EdgeValueMap:
+    I, J = edge_endpoints(n)
+    keep = values > SUPPORT_EPS
+    edges = {(int(i), int(j)): float(v) for i, j, v in zip(I[keep], J[keep], values[keep])}
+    return EdgeValueMap(n_points=n, edges=edges, objective_value=objective)
+
+
+# -- separation --------------------------------------------------------------
+
+def connected_components(adj: np.ndarray) -> list[list[int]]:
+    n = len(adj)
+    seen = np.zeros(n, dtype=bool)
+    comps = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        stack, comp = [s], []
+        seen[s] = True
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            nxt = np.flatnonzero(adj[v] & ~seen)
+            seen[nxt] = True
+            stack.extend(int(u) for u in nxt)
+        comps.append(sorted(comp))
+    return comps
+
+
+def stoer_wagner(W: np.ndarray, collect_below: float | None = None):
+    """Global minimum cut of a weighted graph by repeated maximum-adjacency
+    phases with contraction.
+
+    Returns (best_value, best_side, harvested) where harvested maps every
+    phase cut with weight < collect_below to its weight (empty when
+    collect_below is None).  Deterministic: argmax ties take the lowest
+    index.
+    """
+    n = len(W)
+    if n < 2:
+        raise DomainError("minimum cut needs at least 2 vertices")
+    Wc = np.array(W, dtype=float)
+    np.fill_diagonal(Wc, 0.0)
+    active = np.ones(n, dtype=bool)
+    groups: list[frozenset[int]] = [frozenset([i]) for i in range(n)]
+    best_value, best_side = math.inf, frozenset()
+    harvested: dict[frozenset[int], float] = {}
+
+    for _phase in range(n - 1):
+        act = np.flatnonzero(active)
+        a = int(act[0])
+        wsum = Wc[a].copy()
+        wsum[~active] = -np.inf
+        wsum[a] = -np.inf
+        last, cut_of_phase = a, 0.0
+        for _ in range(len(act) - 1):
+            nxt = int(np.argmax(wsum))
+            cut_of_phase = float(wsum[nxt])
+            wsum += Wc[nxt]
+            wsum[nxt] = -np.inf
+            prev, last = last, nxt
+        side = groups[last]
+        if collect_below is not None and cut_of_phase < collect_below:
+            harvested[side] = cut_of_phase
+        if cut_of_phase < best_value:
+            best_value, best_side = cut_of_phase, side
+        # contract last into prev
+        Wc[prev] += Wc[last]
+        Wc[:, prev] += Wc[:, last]
+        Wc[prev, prev] = 0.0
+        active[last] = False
+        groups[prev] = groups[prev] | groups[last]
+    return best_value, best_side, harvested
+
+
+def separate(x: EdgeValueMap, tol: float = SEPARATION_TOL) -> frozenset[int] | None:
+    """A subset whose cut value falls below 2 - tol, or None if none exists.
+
+    A disconnected support graph yields one connected component (cut value
+    zero); otherwise the global minimum cut decides.
+    """
+    W = x.as_matrix()
+    comps = connected_components(W > SUPPORT_EPS)
+    if len(comps) > 1:
+        return frozenset(comps[0])
+    value, side, _ = stoer_wagner(W)
+    return frozenset(side) if value < 2.0 - tol else None
+
+
+def _violated_sets(W: np.ndarray, tol: float) -> list[tuple[frozenset[int], float]]:
+    """All violated subsets one separation round can see, most violated first."""
+    comps = connected_components(W > SUPPORT_EPS)
+    if len(comps) > 1:
+        return [(frozenset(c), 0.0) for c in comps]
+    _best, _side, harvested = stoer_wagner(W, collect_below=2.0 - tol)
+    found = [(S, v) for S, v in harvested.items() if 0 < len(S) < len(W)]
+    found.sort(key=lambda sv: (sv[1], len(sv[0]), sorted(sv[0])))
+    return found
+
+
+# -- cutting-plane driver -----------------------------------------------------
+
+def _subset_row(S, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+    inside = np.zeros(int(J.max()) + 1, dtype=bool)
+    inside[list(S)] = True
+    return (inside[I] & inside[J]).astype(float)
+
+
+def solve_subtour_lp(obj, tol: float = SEPARATION_TOL) -> tuple[EdgeValueMap, list[CutRecord]]:
+    """Exact subtour-LP optimum of an Instance or raw (N, 2) point array.
+
+    Returns the optimal fractional edge values (no violated subset remains
+    above ``tol``) together with the list of cuts added along the way.
+    """
+    coords, p = coerce_points(obj)
+    n = len(coords)
+    if n < 3:
+        raise DomainError(f"need at least 3 points, got {n}")
+    dist = pairwise_distances(coords, p)
+    I, J = edge_endpoints(n)
+    costs = dist[I, J]
+    n_edges = len(costs)
+
+    deg_rows = []
+    for v in range(n):
+        row = np.zeros(n_edges)
+        row[(I == v) | (J == v)] = 1.0
+        deg_rows.append((row, 2.0))
+
+    cut_sets: list[frozenset[int]] = []
+    seen: set[frozenset[int]] = set()
+    records: list[CutRecord] = []
+    warm = None
+
+    for _round in range(CUT_ROUND_FACTOR * n):
+        lp = DenseLp(
+            objective=costs,
+            eq_rows=deg_rows,
+            ineq_rows=[(_subset_row(S, I, J), float(len(S) - 1)) for S in cut_sets],
+            var_bounds=[(0.0, 1.0)] * n_edges,
+        )
+        sol = lp_solver.solve(lp, start=warm)
+        if sol.status is not LpStatus.OPTIMAL:
+            raise SubtourSolveError(f"subtour LP solve returned {sol.status.value}")
+        W = np.zeros((n, n))
+        W[I, J] = W[J, I] = sol.values
+
+        violated = _violated_sets(W, tol)
+        if not violated:
+            return _edge_value_map(n, sol.values, sol.objective_value), records
+        new = [(S, v) for S, v in violated if S not in seen]
+        if not new:
+            # a subset whose row is already present cannot stay violated beyond
+            # the LP tolerance, so this is a numerical stall, not convergence
+            raise SubtourSolveError(
+                f"separation keeps returning already-added cuts ({len(violated)} duplicates)")
+        m_old = n + len(cut_sets)
+        for S, cut_value in new:
+            seen.add(S)
+            cut_sets.append(S)
+            records.append(CutRecord(subset=S, violation=2.0 - cut_value))
+        warm = (
+            np.concatenate([sol.basis, n_edges + m_old + np.arange(len(new))]),
+            sol.at_upper,
+        )
+    raise CutRoundLimitError(
+        f"no cut-free solution after {CUT_ROUND_FACTOR * n} rounds "
+        f"({len(cut_sets)} cuts added)")
+
+
+# -- the half-integral witness -------------------------------------------------
+
+def build_half_integral(inst: Instance) -> EdgeValueMap:
+    """The explicit LP-feasible point for G(n, d) with objective
+    3n - 4 + 3d + sqrt(d^2 + 1).
+
+    Value-1 edges: consecutive pairs along the top and bottom rows, the
+    middle row minus its two end gaps, and the two verticals joining the
+    top row to the middle end points.  Value-1/2 edges: at each end, the
+    triangle formed by the middle end point, its middle neighbour, and
+    the bottom corner.  Degrees are 2 everywhere and every cut is >= 2.
+    """
+    if not isinstance(inst, Instance) or inst != generate(inst.spec):
+        raise DomainError("not a generated G(n, d) instance")
+    n = inst.spec.n
+    if n < 3:
+        raise DomainError(f"the half-integral construction needs n >= 3, got {n}")
+
+    bot = lambda x: inst.index_of(x, 1)
+    mid = lambda x: inst.index_of(x, 2)
+    top = lambda x: inst.index_of(x, 3)
+
+    edges: dict[tuple[int, int], float] = {}
+
+    def put(a: int, b: int, v: float) -> None:
+        edges[(min(a, b), max(a, b))] = v
+
+    for x in range(1, n):
+        put(top(x), top(x + 1), 1.0)
+        put(bot(x), bot(x + 1), 1.0)
+    for x in range(2, n - 1):
+        put(mid(x), mid(x + 1), 1.0)
+    put(mid(1), top(1), 1.0)
+    put(mid(n), top(n), 1.0)
+    for end, nbr in ((1, 2), (n, n - 1)):
+        put(mid(end), bot(end), 0.5)
+        put(mid(nbr), bot(end), 0.5)
+        put(mid(end), mid(nbr), 0.5)
+
+    objective = sum(v * lp_distance(inst.points[i], inst.points[j], inst.spec.p)
+                    for (i, j), v in edges.items())
+    return EdgeValueMap(n_points=inst.n_points, edges=edges, objective_value=objective)
+
+
+def closed_form_lp_value(n: int, d: float) -> float:
+    """Closed-form subtour-LP optimum 3n - 4 + 3d + sqrt(d^2 + 1) for G(n, d)."""
+    if n < 3:
+        raise DomainError(f"closed form needs n >= 3, got {n}")
+    if not d > 0:
+        raise DomainError(f"d must be positive, got {d!r}")
+    return 3.0 * n - 4.0 + 3.0 * d + math.hypot(d, 1.0)
+
+
+def closed_form_lp_value_variant(n: int, d: float) -> float:
+    """Variant closed form 3n - 3 + 3d + sqrt(d^2 + 1).
+
+    Two candidate constants (3n - 4 versus 3n - 3) circulate for the same
+    quantity; reports carry both so that numeric solves can adjudicate.
+    The cutting-plane optimum matches :func:`closed_form_lp_value`.
+    """
+    return closed_form_lp_value(n, d) + 1.0
