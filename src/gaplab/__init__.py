@@ -16,6 +16,7 @@ from .gline import (
     sqrt_inequality_check,
     tour_from_zvector,
     tour_lower_bound,
+    zvector_optimum,
 )
 from .instances import INF, DomainError, Instance, InstanceSpec, Role, distance, export, from_json, generate
 from .lp_solver import DenseLp, LpSolution, LpStatus, solve
@@ -30,5 +31,15 @@ from .subtour import (
     solve_subtour_lp,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CutRecord", "DRule", "DenseLp", "DomainError", "EdgeValueMap", "INF", "Instance",
+    "InstanceSpec", "LpBackend", "LpSolution", "LpStatus", "RatioReport", "Role", "Tour",
+    "TourBackend", "ZTour", "ZVector", "brute_force", "build_half_integral", "c_cost",
+    "closed_form_lp_value", "closed_form_lp_value_variant", "closed_form_tour_value",
+    "distance", "export", "f_argmin", "f_value", "from_json", "generate", "held_karp",
+    "insertion_cost_end", "insertion_cost_inner", "optimal_zvector", "ratio_exact",
+    "ratio_lower_bound", "separate", "solve", "solve_subtour_lp", "sqrt_inequality_check",
+    "sweep", "tour_from_zvector", "tour_lower_bound", "variant_ratio_sqrt_half",
+    "zvector_optimum",
+]
 __version__ = "0.1.0"

@@ -181,7 +181,7 @@ def run_verify(config: Config, lp_constant_offset: float = 0.0):
         def oracle(n=n, d=d):
             if 3 * n > config.held_karp_cap:
                 return ("SKIP", f"{3 * n} points exceeds cap {config.held_karp_cap}")
-            zv = gline.optimal_zvector(n, d)[1]
+            zv = gline.zvector_optimum(n, d)[1]
             hk = exact.held_karp(generate(InstanceSpec(n=n, d=d)),
                                  max_points=config.held_karp_cap).length
             return abs(zv - hk) <= 1e-9, f"zvector={fmt12(zv)} held_karp={fmt12(hk)}"
@@ -229,7 +229,7 @@ def run_verify(config: Config, lp_constant_offset: float = 0.0):
 
     for n in (18, 20, 100):
         def closed_form(n=n):
-            got = gline.optimal_zvector(n, math.sqrt(n - 1))[1]
+            got = gline.zvector_optimum(n, math.sqrt(n - 1))[1]
             return abs(got - gline.closed_form_tour_value(n)) <= 1e-9
         record(f"closed-form optimum at n={n}", closed_form)
 

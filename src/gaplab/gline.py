@@ -13,6 +13,15 @@ and for even k the whole tour costs n + k + 2d - 2 + sum c(z_i).  Odd k
 only closes up for k = 1, where the tour instead threads the whole inner
 row between one middle end point and the opposite bottom corner, at cost
 3n + 3d - 4 + sqrt((n - 2)^2 + d^2).
+
+The optimal z-vector is balanced (entries floor(n/k) or ceil(n/k), by
+convexity of c), so only its length k is searched.  The balanced length
+n + k + 2d - 2 + k c^(n/k), with c^ the piecewise-linear interpolant of c,
+is convex in k, being the perspective of a convex function.
+``zvector_optimum`` therefore evaluates a window of even k that grows until
+both its edges rise outward by more than a stated rounding margin, which
+certifies the window holds the minimum of all even k, and compares that
+minimum with k = 1.
 """
 from __future__ import annotations
 
@@ -191,40 +200,88 @@ def balanced_zvector(n: int, k: int) -> ZVector:
     return ZVector(entries=tuple([q] * (k - r) + [q + 1] * r))
 
 
-def _even_k_values(n: int, d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Formula lengths of all balanced even-length z-vectors, k = 2, 4, .., n."""
-    ks = np.arange(2, n + 1, 2)
+def _even_k_values(n: int, d: float, ks: np.ndarray) -> np.ndarray:
+    """Formula lengths V(k) of the balanced z-vectors with the even lengths ks."""
     q, r = n // ks, n % ks
     sum_c = (ks - r) * (2.0 * (q - 1) + np.hypot(q - 1, d)) \
         + r * (2.0 * q + np.hypot(q, d))
-    return ks, n + ks + 2.0 * d - 2.0 + sum_c
+    return n + ks + 2.0 * d - 2.0 + sum_c
 
 
-def optimal_zvector(n: int, d: float) -> tuple[ZVector, float]:
-    """Minimum-length z-vector for G(n, d): balanced even lengths versus k = 1.
+# Relative float-rounding margin of the windowed search in zvector_optimum.
+# Each computed V(k) is formed with at most ten roundings of relative size
+# u = 2^-53 (hypot included), and every partial sum lies below V(k) + 2, so
+# the computed value is within rho = 2^-49 of the exact one, relatively.  If
+# the window's edge values differ by D > margin * fl(V(edge)), the exact
+# edge slope is at least D - 2 rho V(edge), and by convexity every k beyond
+# the edge has exact V(k) >= V(edge) + that slope; its computed value then
+# exceeds the computed edge value once D > 4 rho V(edge) (to first order in
+# rho).  The margin 2^-44 = 32 rho leaves a factor 8 over that.  Two such
+# nearby positive values subtract exactly (Sterbenz), so D carries no error.
+_SLOPE_MARGIN = 2.0 ** -44
 
-    Enumerates every even k (balanced entries are optimal per convexity of
-    c) plus the single odd candidate k = 1, rather than assuming where the
-    minimum falls; ties go to the smaller k.  Requires n even >= 4, d >= 4.
+
+def zvector_optimum(n: int, d: float) -> tuple[int, float]:
+    """Length k and formula length of the minimum-length z-vector for G(n, d).
+
+    The same k and the bit-identical value of a full argmin over the
+    balanced even k = 2..n (ties to the smaller k) followed by the
+    comparison with k = 1, found without evaluating every k.  The balanced
+    length V(k) = n + k + 2d - 2 + k c^(n/k), with c^ the piecewise-linear
+    interpolant of the convex c, is convex in k: k c^(n/k) is the
+    perspective of c^.  So a window of even k that contains the minimum
+    and whose edge values both rise outward by more than the rounding
+    margin ``_SLOPE_MARGIN`` certifies that no k outside it computes a
+    value as small.  The window starts around k = n / q*, where
+    q* = (d^2 + 1)/2 minimises (c(q) + 1)/q over real q, and doubles until
+    both edges are certified or it covers 2..n; the start only affects the
+    speed.  Requires n even >= 4, d >= 4.
     """
     if n % 2 or n < 4:
         raise DomainError(f"n must be even and >= 4, got {n}")
     _require_min_gap(d)
-    v1 = zvector_tour_value(n, 1, d, 0.0)
-    ks, vals = _even_k_values(n, d)
+    last = n // 2  # even k = 2j for j = 1..last
+    q_star = (d * d + 1.0) / 2.0
+    centre = min(max(round(n / (2.0 * q_star)), 1), last)
+    # V is linear in k while n // k stays put, kinked at k = n/q; start one
+    # kink spacing (about n/q*^2 in k) to each side, which usually certifies
+    half = math.ceil(n / (2.0 * q_star * q_star)) + 2
+    while True:
+        lo, hi = max(centre - half, 1), min(centre + half, last)
+        ks = 2 * np.arange(lo, hi + 1)
+        vals = _even_k_values(n, d, ks)
+        left_ok = lo == 1 or vals[0] - vals[1] > _SLOPE_MARGIN * vals[0]
+        right_ok = hi == last or vals[-1] - vals[-2] > _SLOPE_MARGIN * vals[-1]
+        if left_ok and right_ok:
+            break
+        half *= 2
     i = int(np.argmin(vals))
+    v1 = zvector_tour_value(n, 1, d, 0.0)
     if v1 <= vals[i]:
-        return balanced_zvector(n, 1), v1
-    return balanced_zvector(n, int(ks[i])), float(vals[i])
+        return 1, v1
+    return int(ks[i]), float(vals[i])
+
+
+def optimal_zvector(n: int, d: float) -> tuple[ZVector, float]:
+    """Minimum-length z-vector for G(n, d) and its formula length.
+
+    Balanced entries are optimal for each length by convexity of c; the
+    length is the certified windowed search of :func:`zvector_optimum`
+    over even k plus the single odd candidate k = 1, ties to the smaller
+    k.  Requires n even >= 4, d >= 4.
+    """
+    k, value = zvector_optimum(n, d)
+    return balanced_zvector(n, k), value
 
 
 def f_value(k: float, d: float, n: float) -> float:
     """Relaxed tour length 3n - 2k + 2d - 2 + sqrt((n - 2k)^2 + 4 d^2 k^2) of a
     balanced z-vector of length 2k; k may be fractional for analysis."""
-    return 3.0 * n - 2.0 * k + 2.0 * d - 2.0 + math.sqrt((n - 2.0 * k) ** 2 + 4.0 * d * d * k * k)
+    return float(f_values(k, d, n))
 
 
 def f_values(ks: np.ndarray, d: float, n: float) -> np.ndarray:
+    """:func:`f_value` at every k in ``ks``."""
     ks = np.asarray(ks, dtype=float)
     return 3.0 * n - 2.0 * ks + 2.0 * d - 2.0 + np.sqrt((n - 2.0 * ks) ** 2 + 4.0 * d * d * ks * ks)
 

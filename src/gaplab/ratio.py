@@ -13,6 +13,8 @@ closed forms and numeric solvers are never mixed silently.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -116,7 +118,7 @@ def tour_value(n: int, d: float, backend: TourBackend,
             raise DomainError("the closed tour form applies to d = sqrt(n-1) only")
         return gline.closed_form_tour_value(n)
     if backend is TourBackend.ZVECTOR:
-        return gline.optimal_zvector(n, d)[1]
+        return gline.zvector_optimum(n, d)[1]
     if backend is TourBackend.HELD_KARP:
         inst = generate(InstanceSpec(n=n, d=d))
         return exact.held_karp(inst, max_points=held_karp_cap).length
@@ -221,8 +223,8 @@ class DRule:
 def sweep(n_values, d_rule: DRule) -> list[RatioReport]:
     """One RatioReport per n, ordered by n.  LP values come from the closed
     form; tour values from the proven closed forms where they apply and
-    from z-vector enumeration otherwise.  Per-row failures are recorded in
-    the row and the sweep continues.
+    from the z-vector optimum (:func:`gline.zvector_optimum`) otherwise.
+    Per-row failures are recorded in the row and the sweep continues.
     """
     reports = []
     for n in n_values:
@@ -239,12 +241,12 @@ def sweep(n_values, d_rule: DRule) -> list[RatioReport]:
                 report.backend_tour = TourBackend.CLOSED_FORM.value
             elif d_rule.kind == DRule.SQRT_HALF and n % 2 == 0 and n / 2 - 1 >= 16:
                 # the quoted closed form is attained exactly only when 4 | n;
-                # report the enumerated optimum so the delta column shows it
+                # report the z-vector optimum so the delta column shows it
                 report.tour_closed = 4.0 * n - 6.0 + 2.0 * math.sqrt(n / 2 - 1)
-                report.tour_numeric = gline.optimal_zvector(n, d)[1]
+                report.tour_numeric = gline.zvector_optimum(n, d)[1]
                 report.backend_tour = TourBackend.ZVECTOR.value
             else:
-                report.tour_numeric = gline.optimal_zvector(n, d)[1]
+                report.tour_numeric = gline.zvector_optimum(n, d)[1]
                 report.backend_tour = TourBackend.ZVECTOR.value
             report.ratio_numeric = report.tour_numeric / report.lp_numeric
             if not math.isnan(report.tour_closed):
@@ -257,7 +259,10 @@ def sweep(n_values, d_rule: DRule) -> list[RatioReport]:
 
 
 def sweep_csv(reports: list[RatioReport]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in reports:
-        lines.append(",".join(r.csv_row()))
-    return "\n".join(lines) + "\n"
+    """The reports as CSV text under CSV_COLUMNS, one newline-terminated
+    line each; fields holding a comma (error messages) are quoted."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(r.csv_row() for r in reports)
+    return out.getvalue()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gaplab import gline
 from gaplab.instances import InstanceSpec, generate
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -16,3 +17,15 @@ def rng():
 
 def gline_instance(n: int, d: float, p: float = 2):
     return generate(InstanceSpec(n=n, d=d, p=p))
+
+
+def full_enumeration_optimum(n: int, d: float) -> tuple[int, float]:
+    """Reference for gline.zvector_optimum: argmin over every balanced even
+    k = 2..n (ties to the smaller k), then the comparison with k = 1."""
+    ks = np.arange(2, n + 1, 2)
+    vals = gline._even_k_values(n, d, ks)
+    i = int(np.argmin(vals))
+    v1 = gline.zvector_tour_value(n, 1, d, 0.0)
+    if v1 <= vals[i]:
+        return 1, v1
+    return int(ks[i]), float(vals[i])

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -99,6 +100,15 @@ def test_sweep_empty_range_emits_header_only(capsys):
     assert code == 0
     assert out.strip().splitlines() == [out.strip().splitlines()[0]]
     assert out.startswith("n,d,lp_numeric")
+
+
+def test_sweep_error_rows_keep_the_columns(capsys):
+    code, out, _ = run(capsys, "sweep", "--n", "5:7", "--d-rule", "const:4")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert len(rows) == 4 and all(len(row) == 13 for row in rows)
+    assert [row[-1] for row in rows[1:]] == ["n must be even and >= 4, got 5", "",
+                                             "n must be even and >= 4, got 7"]
 
 
 def test_sweep_deterministic_output(capsys):

@@ -18,11 +18,13 @@ from gaplab.gline import (
     sqrt_inequality_check,
     tour_from_zvector,
     tour_lower_bound,
+    zvector_optimum,
     zvector_tour_value,
 )
 from gaplab.instances import DomainError
+from gaplab.ratio import DRule
 
-from conftest import gline_instance
+from conftest import full_enumeration_optimum, gline_instance
 
 
 def positional_insertion_oracle(k: int, d: float) -> float:
@@ -171,6 +173,40 @@ def test_optimal_zvector_preconditions():
         optimal_zvector(7, 4.0)
     with pytest.raises(DomainError):
         optimal_zvector(6, 3.0)
+    with pytest.raises(DomainError):
+        zvector_optimum(7, 4.0)
+    with pytest.raises(DomainError):
+        zvector_optimum(6, 3.0)
+
+
+def assert_search_matches_enumeration(n, d):
+    k, value = zvector_optimum(n, d)
+    want_k, want_value = full_enumeration_optimum(n, d)
+    assert (k, value) == (want_k, want_value), (n, d)
+    assert type(value) is float
+
+
+@pytest.mark.parametrize("d", [4.0, 4.5, 10.0, 50.0])
+def test_zvector_search_matches_full_enumeration(d):
+    """Gate of the windowed search: same k, bit-identical value, every even n."""
+    for n in range(4, 2001, 2):
+        assert_search_matches_enumeration(n, d)
+
+
+def test_zvector_search_matches_full_enumeration_large_and_growing_d():
+    for n in list(range(2002, 20001, 666)) + [19998, 20000]:
+        assert_search_matches_enumeration(n, 4.0)
+    for rule, ns in ((DRule.power(0.5), (16, 100, 1000, 4096, 9998)),
+                     (DRule.sqrt_half(), (34, 36, 38, 500, 2002, 12000))):
+        for n in ns:
+            assert_search_matches_enumeration(n, rule.d_of(n))
+
+
+def test_optimal_zvector_is_the_balanced_vector_of_the_optimum():
+    for n, d in ((18, math.sqrt(17)), (200, 4.0), (1000, 4.5), (40, 50.0)):
+        k, value = zvector_optimum(n, d)
+        zv, got = optimal_zvector(n, d)
+        assert zv == balanced_zvector(n, k) and got == value
 
 
 def test_balancedness_beats_random_unbalanced(rng):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from gaplab import gline
 from gaplab.instances import DomainError
 from gaplab.ratio import (
     DRule,
@@ -15,6 +16,8 @@ from gaplab.ratio import (
     sweep_csv,
     variant_ratio_sqrt_half,
 )
+
+from conftest import full_enumeration_optimum
 
 SQRT17 = math.sqrt(17)
 
@@ -151,6 +154,12 @@ def test_sweep_csv_layout():
     assert "lp_closed_variant" in header and "ratio_closed_variant" in header
     assert len(lines) == 3
     assert lines[1].startswith("18,")
+
+
+def test_const_sweep_csv_matches_full_enumeration(monkeypatch):
+    got = sweep_csv(sweep(range(18, 2001, 2), DRule.const(4)))
+    monkeypatch.setattr(gline, "zvector_optimum", full_enumeration_optimum)
+    assert got == sweep_csv(sweep(range(18, 2001, 2), DRule.const(4)))
 
 
 def test_drule_parsing():
