@@ -25,18 +25,10 @@ HK_CAP_ENV = "GAPLAB_HK_CAP"
 @dataclass
 class Config:
     held_karp_cap: int = exact.HELD_KARP_DEFAULT_CAP
-    feasibility_tol: float = 1e-7
-    compare_tol: float = 1e-6
-    output: str | None = None
-    fmt: str = "json"
 
     def __post_init__(self):
         if self.held_karp_cap <= 0:
             raise DomainError(f"held_karp_cap must be positive, got {self.held_karp_cap}")
-        for name in ("feasibility_tol", "compare_tol"):
-            tol = getattr(self, name)
-            if not 0 < tol < 1e-2:
-                raise DomainError(f"{name} must lie in (0, 1e-2), got {tol}")
 
     @classmethod
     def from_env(cls, **overrides) -> "Config":
@@ -299,10 +291,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (subtour.SubtourSolveError, LpIterationLimit, OSError) as exc:

@@ -8,8 +8,11 @@ The headline quantities for G(n, sqrt(n-1)) with even n >= 18:
 
 plus the cruder bound (4n + 2d - 2 - 2n/(d+1)) / (3n + 4d) valid for any
 d >= 4, and the d = sqrt(n/2 - 1) variant whose ratio is slightly larger
-at equal n.  Every report row names the backend that produced each value;
-closed forms and numeric solvers are never mixed silently.
+at equal n.  Which closed forms hold is decided from (n, d) alone
+(:func:`subtour.closed_form_lp_value`, :func:`closed_form_tour`), and
+:func:`ratio_exact` and :func:`sweep` fill their reports by one routine.
+Every report row names the backend that produced each value; closed
+forms and numeric solvers are never mixed silently.
 """
 from __future__ import annotations
 
@@ -67,10 +70,6 @@ class RatioReport:
     error: str = ""
 
     @property
-    def delta_lp(self) -> float:
-        return self.lp_numeric - self.lp_closed
-
-    @property
     def delta_tour(self) -> float:
         return self.tour_numeric - self.tour_closed
 
@@ -95,10 +94,11 @@ def ratio_lower_bound(n: int, d: float) -> float:
 def variant_ratio_sqrt_half(n: int) -> float:
     """(4n - 6 + 2 sqrt(n/2-1)) / (3n - 4 + 3 sqrt(n/2-1) + sqrt(n/2)) for
     even n with n/2 - 1 >= 16 (so that the row spacing is at least 4)."""
-    if n % 2 or n / 2 - 1 < 16:
+    half = n / 2 - 1
+    tour = closed_form_tour(n, math.sqrt(half)) if half >= 0 else math.nan
+    if math.isnan(tour):
         raise DomainError(f"need even n with n/2 - 1 >= 16, got {n}")
-    d = math.sqrt(n / 2 - 1)
-    return (4.0 * n - 6.0 + 2.0 * d) / (3.0 * n - 4.0 + 3.0 * d + math.sqrt(n / 2))
+    return tour / (3.0 * n - 4.0 + 3.0 * math.sqrt(half) + math.sqrt(n / 2))
 
 
 def f_argmin(n: int, d: float) -> int:
@@ -111,14 +111,33 @@ def f_argmin(n: int, d: float) -> int:
     return int(ks[np.argmin(gline.f_values(ks, d, n))])
 
 
+def proven_tour_form_holds(n: int, d: float) -> bool:
+    """Whether 4n - 4 + 2 sqrt(n-1) is the proven optimal tour of G(n, d)."""
+    return n % 2 == 0 and n >= 18 and abs(d - math.sqrt(n - 1)) <= 1e-9
+
+
+def closed_form_tour(n: int, d: float) -> float:
+    """The closed tour form that holds at G(n, d), NaN where none does:
+    the proven 4n - 4 + 2 sqrt(n-1) (:func:`proven_tour_form_holds`), or
+    4n - 6 + 2 sqrt(n/2-1) at d = sqrt(n/2-1) for even n with n/2 - 1 >= 16,
+    which is attained only when 4 | n and slightly short otherwise."""
+    if proven_tour_form_holds(n, d):
+        return gline.closed_form_tour_value(n)
+    half = n / 2 - 1
+    if n % 2 == 0 and half >= 16 and abs(d - math.sqrt(half)) <= 1e-9:
+        return 4.0 * n - 6.0 + 2.0 * math.sqrt(half)
+    return math.nan
+
+
 def tour_value(n: int, d: float, backend: TourBackend,
                held_karp_cap: int = exact.HELD_KARP_DEFAULT_CAP) -> float:
-    if backend is TourBackend.CLOSED_FORM:
-        if abs(d - math.sqrt(n - 1)) > 1e-9:
-            raise DomainError("the closed tour form applies to d = sqrt(n-1) only")
-        return gline.closed_form_tour_value(n)
     if backend is TourBackend.ZVECTOR:
         return gline.zvector_optimum(n, d)[1]
+    if backend is TourBackend.CLOSED_FORM:
+        if not proven_tour_form_holds(n, d):
+            raise DomainError("the closed tour form needs even n >= 18 and d = sqrt(n-1), "
+                              f"got n={n} d={d:.12g}")
+        return gline.closed_form_tour_value(n)
     if backend is TourBackend.HELD_KARP:
         inst = generate(InstanceSpec(n=n, d=d))
         return exact.held_karp(inst, max_points=held_karp_cap).length
@@ -134,30 +153,42 @@ def lp_value(n: int, d: float, backend: LpBackend) -> float:
     raise DomainError(f"unknown LP backend {backend!r}")
 
 
+def _fill(report: RatioReport, lp_mode: LpBackend, tour_mode: TourBackend,
+          held_karp_cap: int = exact.HELD_KARP_DEFAULT_CAP) -> RatioReport:
+    """Set the fields in CSV order, evaluating each closed form once; a
+    DomainError propagates and leaves the fields set so far in place."""
+    n, d = report.n, report.d
+    report.backend_lp = lp_mode.value
+    try:
+        lp_closed = subtour.closed_form_lp_value(n, d)
+    except DomainError:
+        if lp_mode is LpBackend.CLOSED_FORM:
+            raise
+        lp_closed = math.nan
+    report.lp_numeric = lp_closed if lp_mode is LpBackend.CLOSED_FORM else lp_value(n, d, lp_mode)
+    report.lp_closed = lp_closed
+    report.lp_closed_variant = lp_closed + 1.0  # closed_form_lp_value_variant
+    report.tour_numeric = tour_value(n, d, tour_mode, held_karp_cap)
+    report.tour_closed = (report.tour_numeric if tour_mode is TourBackend.CLOSED_FORM
+                          else closed_form_tour(n, d))
+    report.backend_tour = tour_mode.value
+    report.ratio_numeric = report.tour_numeric / report.lp_numeric
+    report.ratio_closed = report.tour_closed / lp_closed
+    report.ratio_closed_variant = report.tour_closed / report.lp_closed_variant
+    return report
+
+
 def ratio_exact(n: int, d: float,
                 lp_mode: LpBackend = LpBackend.CLOSED_FORM,
                 tour_mode: TourBackend = TourBackend.ZVECTOR,
                 held_karp_cap: int = exact.HELD_KARP_DEFAULT_CAP) -> RatioReport:
     """Integrality-ratio report for G(n, d) with explicit backend choices.
 
-    Where the closed LP form does not hold (see
-    :func:`subtour.closed_form_lp_value`) the ``*_closed`` LP and ratio
-    fields stay NaN, and the CLOSED_FORM LP backend raises DomainError.
+    The ``*_closed`` fields hold the closed forms that apply at (n, d)
+    (:func:`subtour.closed_form_lp_value`, :func:`closed_form_tour`) and
+    stay NaN elsewhere; the CLOSED_FORM backends raise DomainError there.
     """
-    report = RatioReport(n=n, d=float(d),
-                         backend_lp=lp_mode.value, backend_tour=tour_mode.value)
-    report.lp_numeric = lp_value(n, d, lp_mode)
-    report.tour_numeric = tour_value(n, d, tour_mode, held_karp_cap)
-    report.ratio_numeric = report.tour_numeric / report.lp_numeric
-
-    if subtour.closed_form_lp_holds(n, d):
-        report.lp_closed = subtour.closed_form_lp_value(n, d)
-        report.lp_closed_variant = subtour.closed_form_lp_value_variant(n, d)
-    if n >= 18 and n % 2 == 0 and abs(d - math.sqrt(n - 1)) <= 1e-9:
-        report.tour_closed = gline.closed_form_tour_value(n)
-        report.ratio_closed = report.tour_closed / report.lp_closed
-        report.ratio_closed_variant = report.tour_closed / report.lp_closed_variant
-    return report
+    return _fill(RatioReport(n=n, d=float(d)), lp_mode, tour_mode, held_karp_cap)
 
 
 # -- d-growth rules and sweeps --------------------------------------------------
@@ -221,37 +252,19 @@ class DRule:
 
 
 def sweep(n_values, d_rule: DRule) -> list[RatioReport]:
-    """One RatioReport per n, ordered by n.  LP values come from the closed
-    form; tour values from the proven closed forms where they apply and
-    from the z-vector optimum (:func:`gline.zvector_optimum`) otherwise.
-    Per-row failures are recorded in the row and the sweep continues.
-    """
+    """One RatioReport per n, ordered by n, each the :func:`ratio_exact`
+    report with the closed LP form and the proven closed tour form where it
+    holds, else the z-vector optimum (:func:`gline.zvector_optimum`).
+    Per-row failures are recorded in the row and the sweep continues."""
     reports = []
+    # an Enum member lookup costs about 0.2 µs; look them up once, not per row
+    lp, closed, zvector = LpBackend.CLOSED_FORM, TourBackend.CLOSED_FORM, TourBackend.ZVECTOR
     for n in n_values:
         n = int(n)
         d = d_rule.d_of(n)
-        report = RatioReport(n=n, d=d, backend_lp=LpBackend.CLOSED_FORM.value)
+        report = RatioReport(n=n, d=d)
         try:
-            report.lp_numeric = subtour.closed_form_lp_value(n, d)
-            report.lp_closed = report.lp_numeric
-            report.lp_closed_variant = subtour.closed_form_lp_value_variant(n, d)
-            if d_rule.kind == DRule.SQRT_N_MINUS_1 and n % 2 == 0 and n >= 18:
-                report.tour_closed = gline.closed_form_tour_value(n)
-                report.tour_numeric = report.tour_closed
-                report.backend_tour = TourBackend.CLOSED_FORM.value
-            elif d_rule.kind == DRule.SQRT_HALF and n % 2 == 0 and n / 2 - 1 >= 16:
-                # the quoted closed form is attained exactly only when 4 | n;
-                # report the z-vector optimum so the delta column shows it
-                report.tour_closed = 4.0 * n - 6.0 + 2.0 * math.sqrt(n / 2 - 1)
-                report.tour_numeric = gline.zvector_optimum(n, d)[1]
-                report.backend_tour = TourBackend.ZVECTOR.value
-            else:
-                report.tour_numeric = gline.zvector_optimum(n, d)[1]
-                report.backend_tour = TourBackend.ZVECTOR.value
-            report.ratio_numeric = report.tour_numeric / report.lp_numeric
-            if not math.isnan(report.tour_closed):
-                report.ratio_closed = report.tour_closed / report.lp_closed
-                report.ratio_closed_variant = report.tour_closed / report.lp_closed_variant
+            _fill(report, lp, closed if proven_tour_form_holds(n, d) else zvector)
         except DomainError as exc:
             report.error = str(exc)
         reports.append(report)

@@ -163,22 +163,12 @@ def stoer_wagner(W: np.ndarray, collect_below: float | None = None):
     return best_value, best_side, harvested
 
 
-def separate(x: EdgeValueMap, tol: float = SEPARATION_TOL) -> frozenset[int] | None:
-    """A subset whose cut value falls below 2 - tol, or None if none exists.
-
-    A disconnected support graph yields one connected component (cut value
-    zero); otherwise the global minimum cut decides.
-    """
-    W = x.as_matrix()
-    comps = connected_components(W > SUPPORT_EPS)
-    if len(comps) > 1:
-        return frozenset(comps[0])
-    value, side, _ = stoer_wagner(W)
-    return frozenset(side) if value < 2.0 - tol else None
-
-
 def _violated_sets(W: np.ndarray, tol: float) -> list[tuple[frozenset[int], float]]:
-    """All violated subsets one separation round can see, most violated first."""
+    """All violated subsets one separation round can see, most violated first.
+
+    A disconnected support graph yields its connected components (cut
+    value zero); otherwise the Stoer-Wagner phase cuts below 2 - tol.
+    """
     comps = connected_components(W > SUPPORT_EPS)
     if len(comps) > 1:
         return [(frozenset(c), 0.0) for c in comps]
@@ -186,6 +176,12 @@ def _violated_sets(W: np.ndarray, tol: float) -> list[tuple[frozenset[int], floa
     found = [(S, v) for S, v in harvested.items() if 0 < len(S) < len(W)]
     found.sort(key=lambda sv: (sv[1], len(sv[0]), sorted(sv[0])))
     return found
+
+
+def separate(x: EdgeValueMap, tol: float = SEPARATION_TOL) -> frozenset[int] | None:
+    """A most violated subset (cut value below 2 - tol), or None if none exists."""
+    found = _violated_sets(x.as_matrix(), tol)
+    return found[0][0] if found else None
 
 
 # -- cutting-plane driver -----------------------------------------------------

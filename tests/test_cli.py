@@ -148,8 +148,13 @@ def test_hk_cap_env_override(monkeypatch):
 def test_config_validation():
     with pytest.raises(DomainError):
         Config(held_karp_cap=0)
-    with pytest.raises(DomainError):
-        Config(compare_tol=0.5)
+
+
+def test_solve_ratio_reports_the_sqrt_half_closed_form(capsys):
+    code, out, _ = run(capsys, "solve", "ratio", "--n", "34", "--d", "sqrt(n/2-1)")
+    assert code == 0
+    assert "ratio_closed = " in out and "ratio_closed_variant = " in out
+    assert f"ratio_closed = {138 / (3 * 34 - 4 + 12 + math.sqrt(17)):.12g}" in out
 
 
 def test_parse_d_forms():

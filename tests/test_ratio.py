@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -9,11 +10,13 @@ from gaplab.ratio import (
     LpBackend,
     TourBackend,
     closed_form_ratio,
+    closed_form_tour,
     f_argmin,
     ratio_exact,
     ratio_lower_bound,
     sweep,
     sweep_csv,
+    tour_value,
     variant_ratio_sqrt_half,
 )
 
@@ -180,3 +183,52 @@ def test_sqrt_half_closed_form_is_exact_only_at_multiples_of_four():
     for n in (38, 42):
         assert 0 < reports[n].delta_tour < 0.02
         assert reports[n].ratio_numeric >= reports[n].ratio_closed
+
+
+def same_field(a, b) -> bool:
+    return a == b or (isinstance(a, float) and isinstance(b, float)
+                      and math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("rule", ["sqrt-n-1", "sqrt-half", "const:4", "const:5", "pow:0.5"])
+def test_sweep_rows_are_ratio_exact_reports(rule):
+    # one dispatch: a sweep row carries the closed forms of its (n, d),
+    # whichever rule produced d
+    reports = sweep(range(4, 61), DRule.parse(rule))
+    assert {26, 34, 52} <= {r.n for r in reports}
+    checked = 0
+    for row in reports:
+        if row.error:
+            continue
+        want = ratio_exact(row.n, row.d, LpBackend.CLOSED_FORM, TourBackend(row.backend_tour))
+        for field in dataclasses.fields(row):
+            got, exp = getattr(row, field.name), getattr(want, field.name)
+            assert same_field(got, exp), (rule, row.n, field.name, got, exp)
+        checked += 1
+    assert checked > 0
+
+
+def test_closed_tour_forms_attach_by_n_and_d():
+    rows = {r.n: r for r in sweep([26, 34, 52], DRule.const(5))}
+    assert rows[26].backend_tour == "closed_form"
+    assert rows[26].tour_closed == rows[26].tour_numeric == 4 * 26 - 4 + 2 * 5
+    assert rows[52].backend_tour == "zvector"
+    assert rows[52].tour_closed == 4 * 52 - 6 + 2 * 5
+    assert math.isnan(rows[34].tour_closed) and math.isnan(rows[34].ratio_closed)
+
+    const4 = sweep([34], DRule.const(4))[0]
+    half = sweep([34], DRule.sqrt_half())[0]
+    assert const4.tour_closed == 138
+    for name in ("tour_closed", "ratio_closed", "ratio_closed_variant"):
+        assert getattr(const4, name) == getattr(half, name)
+
+
+def test_closed_form_tour_domain():
+    assert closed_form_tour(18, SQRT17) == gline.closed_form_tour_value(18)
+    assert closed_form_tour(36, math.sqrt(17)) == 4 * 36 - 6 + 2 * math.sqrt(17)
+    for n, d in ((17, 4.0), (16, math.sqrt(15)), (18, 4.0), (32, math.sqrt(15)), (35, 4.0)):
+        assert math.isnan(closed_form_tour(n, d)), (n, d)
+    # only the proven form is a tour backend
+    assert tour_value(18, SQRT17, TourBackend.CLOSED_FORM) == gline.closed_form_tour_value(18)
+    with pytest.raises(DomainError):
+        tour_value(34, 4.0, TourBackend.CLOSED_FORM)
