@@ -19,7 +19,7 @@ from .gline import (
     zvector_optimum,
 )
 from .instances import INF, DomainError, Instance, InstanceSpec, Role, distance, export, from_json, generate
-from .lp_solver import DenseLp, LpSolution, LpStatus, solve
+from .lp_solver import LpSolution, LpStatus, SparseLp, solve
 from .ratio import DRule, LpBackend, RatioReport, TourBackend, f_argmin, ratio_exact, ratio_lower_bound, sweep, variant_ratio_sqrt_half
 from .subtour import (
     CutRecord,
@@ -32,8 +32,8 @@ from .subtour import (
 )
 
 __all__ = [
-    "CutRecord", "DRule", "DenseLp", "DomainError", "EdgeValueMap", "INF", "Instance",
-    "InstanceSpec", "LpBackend", "LpSolution", "LpStatus", "RatioReport", "Role", "Tour",
+    "CutRecord", "DRule", "DomainError", "EdgeValueMap", "INF", "Instance", "InstanceSpec",
+    "LpBackend", "LpSolution", "LpStatus", "RatioReport", "Role", "SparseLp", "Tour",
     "TourBackend", "ZTour", "ZVector", "brute_force", "build_half_integral", "c_cost",
     "closed_form_lp_value", "closed_form_lp_value_variant", "closed_form_tour_value",
     "distance", "export", "f_argmin", "f_value", "from_json", "generate", "held_karp",

@@ -94,9 +94,13 @@ def cmd_solve(args) -> int:
         backend = LpBackend(args.backend.replace("-", "_")) if args.backend else LpBackend.CUTTING_PLANE
         value = ratio.lp_value(n, d, backend)
         out.append(f"lp = {fmt12(value)}  [{backend.value}]")
-        if subtour.closed_form_lp_holds(n, d):
-            out.append(f"lp_closed = {fmt12(subtour.closed_form_lp_value(n, d))}")
-            out.append(f"lp_closed_variant = {fmt12(subtour.closed_form_lp_value_variant(n, d))}")
+        try:
+            closed = subtour.closed_form_lp_value(n, d)
+        except DomainError:
+            pass  # the form does not hold here, so it is not printed
+        else:
+            out.append(f"lp_closed = {fmt12(closed)}")
+            out.append(f"lp_closed_variant = {fmt12(closed + 1.0)}")  # closed_form_lp_value_variant
     elif args.what == "tour":
         backend = TourBackend(args.backend.replace("-", "_")) if args.backend else TourBackend.ZVECTOR
         value = ratio.tour_value(n, d, backend, config.held_karp_cap)

@@ -1,12 +1,19 @@
-"""Dense bounded-variable linear programming via revised simplex.
+"""Sparse bounded-variable linear programming via revised simplex.
 
-Self-contained two-phase solver for the small dense LPs produced by the
-cutting-plane engine.  Every row (equality or <=) receives an internal
-slack column; equality slacks are fixed at zero, so the all-slack basis
-always exists and phase 1 reduces to driving the bound violations of the
-working basis to zero.  This uniform treatment makes warm starts after
-appending rows trivial: reuse the previous basis plus the new slacks and
-let phase 1 repair the (few) violated rows.
+Self-contained two-phase solver for the LPs produced by the cutting-plane
+engine.  Rows are sparse: each is a (column indices, values, rhs) triple,
+and the structural part of the constraint matrix is stored by columns
+(compressed sparse column arrays), so pricing, the entering column and
+matrix-vector products cost O(nonzeros) rather than O(rows x columns).
+Only the basis matrix and its inverse are dense (rows x rows).
+
+Every row (equality or <=) receives an internal slack column; the slacks
+form an identity block that is never stored.  Equality slacks are fixed
+at zero, so the all-slack basis always exists and phase 1 reduces to
+driving the bound violations of the working basis to zero.  This uniform
+treatment makes warm starts after appending rows trivial: reuse the
+previous basis plus the new slacks and let phase 1 repair the (few)
+violated rows.
 
 Tolerances below are the single source of truth; the subtour module
 imports them rather than restating values.
@@ -32,7 +39,7 @@ class LpStatus(Enum):
 
 
 class LpDimensionError(ValueError):
-    """Row length or bound vector inconsistent with the variable count."""
+    """Row, bound vector or basis inconsistent with the variable count."""
 
 
 class LpIterationLimit(RuntimeError):
@@ -49,32 +56,48 @@ class LpIterationLimit(RuntimeError):
 
 
 @dataclass
-class DenseLp:
+class SparseLp:
     """minimize objective . x  subject to eq_rows, ineq_rows (<=), and bounds.
 
-    var_bounds are per-variable (lower, upper) with 0 <= lower <= upper,
-    both finite.
+    Each row is a (cols, vals, rhs) triple: the row's coefficient on
+    variable cols[k] is vals[k], every other coefficient is zero, and
+    repeated indices add.  var_bounds are per-variable (lower, upper) with
+    0 <= lower <= upper, both finite: a sequence of pairs or an
+    (n_vars, 2) array.
     """
 
     objective: np.ndarray
-    eq_rows: list[tuple[np.ndarray, float]] = field(default_factory=list)
-    ineq_rows: list[tuple[np.ndarray, float]] = field(default_factory=list)
-    var_bounds: list[tuple[float, float]] = field(default_factory=list)
+    eq_rows: list[tuple[np.ndarray, np.ndarray, float]] = field(default_factory=list)
+    ineq_rows: list[tuple[np.ndarray, np.ndarray, float]] = field(default_factory=list)
+    var_bounds: list[tuple[float, float]] | np.ndarray = field(default_factory=list)
 
     @property
     def n_vars(self) -> int:
         return len(self.objective)
 
-    def validate(self) -> None:
+    def validate(self) -> np.ndarray:
+        """Raise LpDimensionError unless rows and bounds fit the variable
+        count; return the bounds as an (n_vars, 2) float array."""
         nv = self.n_vars
         if len(self.var_bounds) != nv:
             raise LpDimensionError(f"{len(self.var_bounds)} bounds for {nv} variables")
-        for row, _rhs in list(self.eq_rows) + list(self.ineq_rows):
-            if len(row) != nv:
-                raise LpDimensionError(f"row of length {len(row)} in an LP with {nv} variables")
-        for lo, hi in self.var_bounds:
-            if not (np.isfinite(lo) and np.isfinite(hi) and 0 <= lo <= hi):
-                raise LpDimensionError(f"invalid bounds ({lo}, {hi}); need finite 0 <= lo <= hi")
+        nonempty = []
+        for cols, vals, _rhs in list(self.eq_rows) + list(self.ineq_rows):
+            if len(cols) != len(vals):
+                raise LpDimensionError(f"row with {len(cols)} column indices and {len(vals)} values")
+            if len(cols):
+                nonempty.append(np.asarray(cols))
+        if nonempty:
+            cols = np.concatenate(nonempty)
+            if not (cols.dtype.kind in "iu" and 0 <= cols.min() and cols.max() < nv):
+                raise LpDimensionError(f"row column indices must be integers in [0, {nv})")
+        bounds = np.asarray(self.var_bounds, dtype=float).reshape(nv, 2)
+        lo, hi = bounds[:, 0], bounds[:, 1]
+        bad = ~(np.isfinite(lo) & np.isfinite(hi) & (0 <= lo) & (lo <= hi))
+        if bad.any():
+            lo, hi = self.var_bounds[int(np.argmax(bad))]
+            raise LpDimensionError(f"invalid bounds ({lo}, {hi}); need finite 0 <= lo <= hi")
+        return bounds
 
 
 @dataclass
@@ -91,20 +114,29 @@ _BOUND_FLIP = -1
 
 
 class _Simplex:
-    """Working state: columns are [structural | one slack per row]."""
+    """Working state: columns are [structural | one slack per row].
 
-    def __init__(self, c, A, b, lb, ub, nv):
+    The structural block A is held as compressed sparse columns: the
+    nonzeros of column j are rowind[indptr[j]:indptr[j + 1]] with values
+    data[...], and nzcol is the column of every nonzero.  The slack block
+    is the identity and is never stored.
+    """
+
+    def __init__(self, c, indptr, rowind, data, b, lb, ub, nv):
         self.c = c
-        self.A = A
+        self.indptr = indptr
+        self.rowind = rowind
+        self.data = data
+        self.nzcol = np.repeat(np.arange(nv), np.diff(indptr))
         self.b = b
         self.lb = lb
         self.ub = ub
         self.nv = nv
-        self.m, self.ncols = A.shape
+        self.m = len(b)
+        self.ncols = nv + self.m
         self.pivots = 0
         # fixed columns (lb == ub, i.e. equality slacks) never enter the basis
         self.fixed = ub - lb <= 0
-        self.col_ids = np.arange(self.ncols)
 
     def load_basis(self, basis: np.ndarray, at_upper: np.ndarray | None = None):
         self.basis = np.array(basis, dtype=int)
@@ -118,8 +150,48 @@ class _Simplex:
         self.is_basic[self.basis] = True
         self.refactor()
 
+    # -- sparse kernels over [A | I] ------------------------------------------
+
+    def price(self, y: np.ndarray) -> np.ndarray:
+        """y @ [A | I]."""
+        yA = np.bincount(self.nzcol, weights=y[self.rowind] * self.data, minlength=self.nv)
+        return np.concatenate([yA, y])
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """[A | I] @ x."""
+        Ax = np.bincount(self.rowind, weights=self.data * x[self.nzcol], minlength=self.m)
+        return Ax + x[self.nv:]
+
+    def entering_column(self, q: int) -> np.ndarray:
+        """Binv @ [A | I][:, q].
+
+        A structural column is scattered from its sparse slice into a
+        length-m vector first: a product over the full column sums in the
+        order of a dense matrix-vector product, and the Dantzig tie-breaks
+        follow that rounding (a dot product over the nonzeros alone picks
+        different pivots on some inputs).
+        """
+        if q >= self.nv:
+            return self.Binv[:, q - self.nv].copy()
+        lo, hi = self.indptr[q], self.indptr[q + 1]
+        column = np.bincount(self.rowind[lo:hi], weights=self.data[lo:hi], minlength=self.m)
+        return self.Binv @ column
+
+    def basis_matrix(self) -> np.ndarray:
+        """[A | I][:, basis], scattered from the sparse columns in one pass."""
+        m, nv = self.m, self.nv
+        position = np.full(self.ncols, -1)
+        position[self.basis] = np.arange(m)
+        nzpos = position[self.nzcol]
+        basic = nzpos >= 0
+        B = np.bincount(self.rowind[basic] * m + nzpos[basic], weights=self.data[basic],
+                        minlength=m * m).reshape(m, m)
+        slack = np.flatnonzero(self.basis >= nv)
+        B[self.basis[slack] - nv, slack] = 1.0
+        return B
+
     def refactor(self):
-        B = self.A[:, self.basis]
+        B = self.basis_matrix()
         try:
             self.Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError as exc:
@@ -129,7 +201,7 @@ class _Simplex:
     def recompute_xb(self):
         x = np.where(self.at_upper, self.ub, self.lb)
         x[self.basis] = 0.0
-        self.xB = self.Binv @ (self.b - self.A @ x)
+        self.xB = self.Binv @ (self.b - self.times(x))
 
     def nonbasic_value(self, j: int) -> float:
         return self.ub[j] if self.at_upper[j] else self.lb[j]
@@ -249,14 +321,14 @@ class _Simplex:
             if self.pivots > max_pivots:
                 raise LpIterationLimit(1, self.pivots)
             y = w @ self.Binv
-            d = y @ self.A
+            d = self.price(y)
             rising = ~self.at_upper & (d > REDUCED_COST_TOL)
             falling = self.at_upper & (d < -REDUCED_COST_TOL)
             choice = self._choose_entering(d, rising, falling)
             if choice is None:
                 return False
             q, sigma = choice
-            u = self.Binv @ self.A[:, q]
+            u = self.entering_column(q)
             t, r, leave_up = self._ratio_test(u, sigma, q, phase1=True)
             if not np.isfinite(t):
                 # cannot happen in exact arithmetic while infeasible; re-anchor
@@ -273,14 +345,14 @@ class _Simplex:
             if self.pivots > max_pivots:
                 raise LpIterationLimit(2, self.pivots)
             y = self.c[self.basis] @ self.Binv
-            d = self.c - y @ self.A
+            d = self.c - self.price(y)
             rising = ~self.at_upper & (d < -REDUCED_COST_TOL)
             falling = self.at_upper & (d > REDUCED_COST_TOL)
             choice = self._choose_entering(d, rising, falling)
             if choice is None:
                 return LpStatus.OPTIMAL
             q, sigma = choice
-            u = self.Binv @ self.A[:, q]
+            u = self.entering_column(q)
             t, r, leave_up = self._ratio_test(u, sigma, q, phase1=False)
             if not np.isfinite(t):
                 return LpStatus.UNBOUNDED
@@ -288,42 +360,44 @@ class _Simplex:
 
     def residual(self) -> float:
         x = self.full_values()
-        res = float(np.max(np.abs(self.A @ x - self.b))) if self.m else 0.0
+        res = float(np.max(np.abs(self.times(x) - self.b))) if self.m else 0.0
         lo = float(np.max(self.lb - x, initial=0.0))
         hi = float(np.max((x - self.ub)[np.isfinite(self.ub)], initial=0.0))
         return max(res, lo, hi)
 
 
-def _standardize(lp: DenseLp):
-    lp.validate()
+def _standardize(lp: SparseLp):
+    bounds = lp.validate()
     nv = lp.n_vars
-    me, mi = len(lp.eq_rows), len(lp.ineq_rows)
-    m = me + mi
-    A = np.zeros((m, nv + m))
-    b = np.zeros(m)
-    for i, (row, rhs) in enumerate(list(lp.eq_rows) + list(lp.ineq_rows)):
-        A[i, :nv] = row
-        b[i] = rhs
-    A[:, nv:] = np.eye(m)
+    rows = list(lp.eq_rows) + list(lp.ineq_rows)
+    me, m = len(lp.eq_rows), len(rows)
+    counts = np.array([len(cols) for cols, _vals, _rhs in rows], dtype=np.intp)
+    # the leading empty arrays let an LP without rows through np.concatenate
+    cols = np.concatenate([np.zeros(0, np.intp), *(c for c, _v, _r in rows)]).astype(np.intp)
+    vals = np.concatenate([np.zeros(0), *(v for _c, v, _r in rows)]).astype(float)
+    # column-major order; the stable sort keeps each column's rows ascending
+    order = np.argsort(cols, kind="stable")
+    rowind = np.repeat(np.arange(m), counts)[order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=nv))])
+    b = np.array([rhs for _c, _v, rhs in rows], dtype=float)
     lb = np.zeros(nv + m)
     ub = np.zeros(nv + m)
-    bounds = np.array(lp.var_bounds, dtype=float).reshape(nv, 2)
     lb[:nv] = bounds[:, 0]
     ub[:nv] = bounds[:, 1]
     ub[nv + me:] = np.inf  # inequality slacks; equality slacks stay fixed at 0
     c = np.zeros(nv + m)
     c[:nv] = np.asarray(lp.objective, dtype=float)
-    return c, A, b, lb, ub, nv, m
+    return c, (indptr, rowind, vals[order]), b, lb, ub, nv, m
 
 
-def solve(lp: DenseLp, start: tuple[np.ndarray, np.ndarray] | None = None,
+def solve(lp: SparseLp, start: tuple[np.ndarray, np.ndarray] | None = None,
           max_pivots: int | None = None) -> LpSolution:
-    """Solve a DenseLp.  ``start`` is an optional (basis, at_upper) warm start
+    """Solve a SparseLp.  ``start`` is an optional (basis, at_upper) warm start
     as returned in a previous LpSolution; after appending rows, extend the
     basis with the new rows' slack columns.
     """
-    c, A, b, lb, ub, nv, m = _standardize(lp)
-    ws = _Simplex(c, A, b, lb, ub, nv)
+    c, (indptr, rowind, data), b, lb, ub, nv, m = _standardize(lp)
+    ws = _Simplex(c, indptr, rowind, data, b, lb, ub, nv)
     if max_pivots is None:
         max_pivots = 2000 + 40 * (m + nv)
     if start is None:

@@ -25,7 +25,7 @@ from .instances import (
     lp_distance,
     pairwise_distances,
 )
-from .lp_solver import DenseLp, LpStatus
+from .lp_solver import LpStatus, SparseLp
 
 SEPARATION_TOL = 1e-6   # a cut below 2 - this counts as violated
 SUPPORT_EPS = 1e-9      # edge values above this form the support graph
@@ -186,10 +186,12 @@ def separate(x: EdgeValueMap, tol: float = SEPARATION_TOL) -> frozenset[int] | N
 
 # -- cutting-plane driver -----------------------------------------------------
 
-def _subset_row(S, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+def _subset_row(S, I: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The sparse row of sum_{e inside S} x_e <= |S| - 1."""
     inside = np.zeros(int(J.max()) + 1, dtype=bool)
     inside[list(S)] = True
-    return (inside[I] & inside[J]).astype(float)
+    cols = np.flatnonzero(inside[I] & inside[J])
+    return cols, np.ones(len(cols)), float(len(S) - 1)
 
 
 def solve_subtour_lp(obj, tol: float = SEPARATION_TOL) -> tuple[EdgeValueMap, list[CutRecord]]:
@@ -209,21 +211,21 @@ def solve_subtour_lp(obj, tol: float = SEPARATION_TOL) -> tuple[EdgeValueMap, li
 
     deg_rows = []
     for v in range(n):
-        row = np.zeros(n_edges)
-        row[(I == v) | (J == v)] = 1.0
-        deg_rows.append((row, 2.0))
+        cols = np.flatnonzero((I == v) | (J == v))
+        deg_rows.append((cols, np.ones(len(cols)), 2.0))
 
-    cut_sets: list[frozenset[int]] = []
+    bounds = np.tile([0.0, 1.0], (n_edges, 1))
+    cut_rows = []
     seen: set[frozenset[int]] = set()
     records: list[CutRecord] = []
     warm = None
 
     for _round in range(CUT_ROUND_FACTOR * n):
-        lp = DenseLp(
+        lp = SparseLp(
             objective=costs,
             eq_rows=deg_rows,
-            ineq_rows=[(_subset_row(S, I, J), float(len(S) - 1)) for S in cut_sets],
-            var_bounds=[(0.0, 1.0)] * n_edges,
+            ineq_rows=list(cut_rows),
+            var_bounds=bounds,
         )
         sol = lp_solver.solve(lp, start=warm)
         if sol.status is not LpStatus.OPTIMAL:
@@ -240,10 +242,10 @@ def solve_subtour_lp(obj, tol: float = SEPARATION_TOL) -> tuple[EdgeValueMap, li
             # the LP tolerance, so this is a numerical stall, not convergence
             raise SubtourSolveError(
                 f"separation keeps returning already-added cuts ({len(violated)} duplicates)")
-        m_old = n + len(cut_sets)
+        m_old = n + len(cut_rows)
         for S, cut_value in new:
             seen.add(S)
-            cut_sets.append(S)
+            cut_rows.append(_subset_row(S, I, J))
             records.append(CutRecord(subset=S, violation=2.0 - cut_value))
         warm = (
             np.concatenate([sol.basis, n_edges + m_old + np.arange(len(new))]),
@@ -251,7 +253,7 @@ def solve_subtour_lp(obj, tol: float = SEPARATION_TOL) -> tuple[EdgeValueMap, li
         )
     raise CutRoundLimitError(
         f"no cut-free solution after {CUT_ROUND_FACTOR * n} rounds "
-        f"({len(cut_sets)} cuts added)")
+        f"({len(cut_rows)} cuts added)")
 
 
 # -- the half-integral witness -------------------------------------------------

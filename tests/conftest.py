@@ -15,6 +15,14 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def sparse_row(row, rhs):
+    """A dense coefficient row and its right-hand side as a (cols, vals, rhs)
+    row of lp_solver.SparseLp."""
+    row = np.asarray(row, dtype=float)
+    cols = np.flatnonzero(row)
+    return cols, row[cols], float(rhs)
+
+
 def gline_instance(n: int, d: float, p: float = 2):
     return generate(InstanceSpec(n=n, d=d, p=p))
 

@@ -6,31 +6,44 @@ import pytest
 from gaplab.instances import pairwise_distances
 from gaplab.lp_solver import (
     FEASIBILITY_TOL,
-    DenseLp,
     LpDimensionError,
     LpIterationLimit,
     LpStatus,
+    SparseLp,
     solve,
 )
 from gaplab.subtour import edge_endpoints
 
-from conftest import UNIT_SQUARE
+from conftest import UNIT_SQUARE, sparse_row
 
 
 def bounds(n, lo=0.0, hi=1.0):
     return [(lo, hi)] * n
 
 
+def dense_rows(rows, nv):
+    """(cols, vals, rhs) rows back as a dense matrix and a right-hand-side vector."""
+    A = np.zeros((len(rows), nv))
+    for i, (cols, vals, _rhs) in enumerate(rows):
+        np.add.at(A[i], cols, vals)
+    return A, np.array([rhs for _c, _v, rhs in rows])
+
+
+def row_times(row, x):
+    cols, vals, _rhs = row
+    return float(vals @ x[cols])
+
+
 def test_bound_only_lp():
-    sol = solve(DenseLp(objective=np.array([1.0]), var_bounds=bounds(1)))
+    sol = solve(SparseLp(objective=np.array([1.0]), var_bounds=bounds(1)))
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_triangle_lp():
-    lp = DenseLp(objective=np.array([-1.0, -1.0]),
-                 ineq_rows=[(np.array([1.0, 1.0]), 1.0)],
-                 var_bounds=bounds(2))
+    lp = SparseLp(objective=np.array([-1.0, -1.0]),
+                  ineq_rows=[sparse_row([1.0, 1.0], 1.0)],
+                  var_bounds=bounds(2))
     sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == pytest.approx(-1.0)
@@ -44,7 +57,9 @@ def square_degree_lp():
         row = np.zeros(6)
         row[(I == v) | (J == v)] = 1.0
         rows.append((row, 2.0))
-    return DenseLp(objective=costs, eq_rows=rows, var_bounds=bounds(6)), costs, rows
+    lp = SparseLp(objective=costs, eq_rows=[sparse_row(r, rhs) for r, rhs in rows],
+                  var_bounds=bounds(6))
+    return lp, costs, rows
 
 
 def degree_polytope_minimum(costs, rows):
@@ -68,26 +83,51 @@ def test_degree_two_square_lp_matches_enumeration():
 
 
 def test_infeasible_lp_detected():
-    lp = DenseLp(objective=np.array([1.0]),
-                 ineq_rows=[(np.array([-1.0]), -2.0)],   # x >= 2 but x <= 1
-                 var_bounds=bounds(1))
+    lp = SparseLp(objective=np.array([1.0]),
+                  ineq_rows=[sparse_row([-1.0], -2.0)],   # x >= 2 but x <= 1
+                  var_bounds=bounds(1))
     assert solve(lp).status is LpStatus.INFEASIBLE
 
 
 def test_dimension_mismatch():
-    lp = DenseLp(objective=np.array([1.0, 2.0]),
-                 eq_rows=[(np.array([1.0]), 1.0)],
-                 var_bounds=bounds(2))
-    with pytest.raises(LpDimensionError):
-        solve(lp)
-    with pytest.raises(LpDimensionError):
-        solve(DenseLp(objective=np.array([1.0]), var_bounds=[(0.0, np.inf)]))
+    bad_rows = [
+        (np.array([2]), np.array([1.0]), 1.0),          # column index past the last variable
+        (np.array([-1]), np.array([1.0]), 1.0),         # negative column index
+        (np.array([0.0]), np.array([1.0]), 1.0),        # non-integer column index
+        (np.array([0, 1]), np.array([1.0]), 1.0),       # cols and vals of different lengths
+    ]
+    for row in bad_rows:
+        lp = SparseLp(objective=np.array([1.0, 2.0]), eq_rows=[row], var_bounds=bounds(2))
+        with pytest.raises(LpDimensionError):
+            solve(lp)
+        lp = SparseLp(objective=np.array([1.0, 2.0]), ineq_rows=[row], var_bounds=bounds(2))
+        with pytest.raises(LpDimensionError):
+            solve(lp)
+    with pytest.raises(LpDimensionError, match="1 bounds for 2 variables"):
+        solve(SparseLp(objective=np.array([1.0, 2.0]), var_bounds=bounds(1)))
+    with pytest.raises(LpDimensionError, match=r"invalid bounds \(0.0, inf\)"):
+        solve(SparseLp(objective=np.array([1.0]), var_bounds=[(0.0, np.inf)]))
+    with pytest.raises(LpDimensionError, match=r"invalid bounds \(0.5, 0.25\)"):
+        solve(SparseLp(objective=np.array([1.0, 1.0]), var_bounds=[(0.0, 1.0), (0.5, 0.25)]))
+
+
+def test_variable_in_no_row_goes_to_its_cost_optimal_bound():
+    # columns 1 and 3 have no nonzeros, so their reduced costs are their
+    # costs; the row's dual (10 or 20) must not leak into column 1, whose
+    # cost 1 keeps it at its lower bound
+    lp = SparseLp(objective=np.array([10.0, 1.0, 20.0, -1.0]),
+                  eq_rows=[(np.array([0, 2]), np.array([1.0, 1.0]), 1.0)],
+                  var_bounds=[(0.0, 1.0), (0.5, 2.0), (0.0, 1.0), (0.0, 3.0)])
+    sol = solve(lp)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.values == pytest.approx([1.0, 0.5, 0.0, 3.0])
+    assert sol.objective_value == pytest.approx(7.5)
 
 
 def test_iteration_limit_is_not_infeasible():
-    lp = DenseLp(objective=np.array([-1.0, -1.0]),
-                 eq_rows=[(np.array([1.0, 1.0]), 1.0)],
-                 var_bounds=bounds(2))
+    lp = SparseLp(objective=np.array([-1.0, -1.0]),
+                  eq_rows=[sparse_row([1.0, 1.0], 1.0)],
+                  var_bounds=bounds(2))
     with pytest.raises(LpIterationLimit):
         solve(lp, max_pivots=0)
 
@@ -97,19 +137,19 @@ def random_feasible_lp(rng, nv, me, mi):
     ub = np.maximum(x0 + rng.uniform(0.0, 1.0, nv), 1e-3)
     c = rng.normal(size=nv)
     eq = [(rng.normal(size=nv), 0.0) for _ in range(me)]
-    eq = [(row, float(row @ x0)) for row, _ in eq]
+    eq = [sparse_row(row, row @ x0) for row, _ in eq]
     ineq = [(rng.normal(size=nv), 0.0) for _ in range(mi)]
-    ineq = [(row, float(row @ x0 + rng.uniform(0.0, 0.5))) for row, _ in ineq]
-    return DenseLp(objective=c, eq_rows=eq, ineq_rows=ineq,
-                   var_bounds=[(0.0, float(u)) for u in ub])
+    ineq = [sparse_row(row, row @ x0 + rng.uniform(0.0, 0.5)) for row, _ in ineq]
+    return SparseLp(objective=c, eq_rows=eq, ineq_rows=ineq,
+                    var_bounds=[(0.0, float(u)) for u in ub])
 
 
 def replay_feasibility(lp, sol, tol=FEASIBILITY_TOL):
     x = sol.values
-    for row, rhs in lp.eq_rows:
-        assert abs(row @ x - rhs) <= tol * (1 + abs(rhs))
-    for row, rhs in lp.ineq_rows:
-        assert row @ x <= rhs + tol * (1 + abs(rhs))
+    for row in lp.eq_rows:
+        assert abs(row_times(row, x) - row[2]) <= tol * (1 + abs(row[2]))
+    for row in lp.ineq_rows:
+        assert row_times(row, x) <= row[2] + tol * (1 + abs(row[2]))
     for xi, (lo, hi) in zip(x, lp.var_bounds):
         assert lo - 1e-9 <= xi <= hi + 1e-9
 
@@ -122,13 +162,10 @@ def test_random_lps_match_scipy(rng):
         sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL, f"case {k}"
         replay_feasibility(lp, sol)
-        ref = linprog(
-            lp.objective,
-            A_ub=np.array([r for r, _ in lp.ineq_rows]) if lp.ineq_rows else None,
-            b_ub=np.array([b for _, b in lp.ineq_rows]) if lp.ineq_rows else None,
-            A_eq=np.array([r for r, _ in lp.eq_rows]) if lp.eq_rows else None,
-            b_eq=np.array([b for _, b in lp.eq_rows]) if lp.eq_rows else None,
-            bounds=lp.var_bounds, method="highs")
+        A_ub, b_ub = dense_rows(lp.ineq_rows, nv) if lp.ineq_rows else (None, None)
+        A_eq, b_eq = dense_rows(lp.eq_rows, nv) if lp.eq_rows else (None, None)
+        ref = linprog(lp.objective, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                      bounds=lp.var_bounds, method="highs")
         assert ref.status == 0
         assert sol.objective_value == pytest.approx(ref.fun, abs=1e-7, rel=1e-7), f"case {k}"
 
@@ -140,7 +177,7 @@ def test_warm_start_after_adding_rows(rng):
     # append two more inequality rows, warm start from the previous basis
     extra = [(rng.normal(size=8), 0.0), (rng.normal(size=8), 0.0)]
     x0 = first.values
-    lp.ineq_rows = lp.ineq_rows + [(row, float(row @ x0 - 0.1)) for row, _ in extra]
+    lp.ineq_rows = lp.ineq_rows + [sparse_row(row, row @ x0 - 0.1) for row, _ in extra]
     m_old = len(lp.eq_rows) + len(lp.ineq_rows) - 2
     warm_basis = np.concatenate([first.basis, 8 + m_old + np.arange(2)])
     warm = solve(lp, start=(warm_basis, first.at_upper))
@@ -163,9 +200,9 @@ def test_redundant_equality_rows(rng):
     # duplicated rows keep the system consistent but rank-deficient
     row = rng.normal(size=5)
     x0 = rng.uniform(0.2, 0.8, 5)
-    lp = DenseLp(objective=rng.normal(size=5),
-                 eq_rows=[(row, float(row @ x0)), (row.copy(), float(row @ x0))],
-                 var_bounds=bounds(5))
+    lp = SparseLp(objective=rng.normal(size=5),
+                  eq_rows=[sparse_row(row, row @ x0), sparse_row(row.copy(), row @ x0)],
+                  var_bounds=bounds(5))
     sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL
     replay_feasibility(lp, sol)
@@ -187,7 +224,7 @@ def test_degenerate_transportation_like(rng):
             row = np.zeros(nv)
             row[j::b] = 1.0
             eq.append((row, a / b))
-        lp = DenseLp(objective=c, eq_rows=eq, var_bounds=bounds(nv))
+        lp = SparseLp(objective=c, eq_rows=[sparse_row(r, v) for r, v in eq], var_bounds=bounds(nv))
         sol = solve(lp)
         ref = linprog(c, A_eq=np.array([r for r, _ in eq]),
                       b_eq=np.array([v for _, v in eq]),
@@ -201,15 +238,15 @@ def test_objective_never_exceeds_external_feasible_point(rng):
     for _ in range(30):
         x0 = rng.uniform(0.2, 0.8, 6)
         rows = [rng.normal(size=6) for _ in range(3)]
-        lp = DenseLp(objective=rng.normal(size=6),
-                     ineq_rows=[(r, float(r @ x0 + 0.5)) for r in rows],
-                     var_bounds=bounds(6))
+        lp = SparseLp(objective=rng.normal(size=6),
+                      ineq_rows=[sparse_row(r, r @ x0 + 0.5) for r in rows],
+                      var_bounds=bounds(6))
         sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL
         checked = 0
         for _ in range(20):
             x = np.clip(x0 + rng.uniform(-0.05, 0.05, 6), 0.0, 1.0)
-            if all(r @ x <= v + 1e-12 for r, v in lp.ineq_rows):
+            if all(row_times(row, x) <= row[2] + 1e-12 for row in lp.ineq_rows):
                 assert sol.objective_value <= lp.objective @ x + 1e-7
                 checked += 1
         assert checked > 0
@@ -217,9 +254,9 @@ def test_objective_never_exceeds_external_feasible_point(rng):
 
 def test_fixed_variables_respected():
     # lower == upper pins a variable
-    lp = DenseLp(objective=np.array([1.0, -1.0]),
-                 ineq_rows=[(np.array([1.0, 1.0]), 1.5)],
-                 var_bounds=[(0.25, 0.25), (0.0, 2.0)])
+    lp = SparseLp(objective=np.array([1.0, -1.0]),
+                  ineq_rows=[sparse_row([1.0, 1.0], 1.5)],
+                  var_bounds=[(0.25, 0.25), (0.0, 2.0)])
     sol = solve(lp)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.values[0] == pytest.approx(0.25)

@@ -1,13 +1,14 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gaplab.exact import held_karp
 from gaplab.instances import DomainError, pairwise_distances
-from gaplab.lp_solver import DenseLp, LpStatus, solve
+from gaplab.lp_solver import LpStatus, SparseLp, solve
 from gaplab.subtour import (
     CutRoundLimitError,
     EdgeValueMap,
@@ -22,7 +23,7 @@ from gaplab.subtour import (
     stoer_wagner,
 )
 
-from conftest import EQUILATERAL, UNIT_SQUARE, gline_instance
+from conftest import EQUILATERAL, UNIT_SQUARE, gline_instance, sparse_row
 
 
 def edge_map_from_matrix(W):
@@ -294,7 +295,7 @@ def test_closed_form_unchanged_outside_the_refusals():
 
 def directed_subtour_optimum(points):
     """Independent oracle: the directed two-degree formulation with every
-    subset row enumerated up front, solved as one dense LP."""
+    subset row enumerated up front, solved as one LP."""
     dist = pairwise_distances(points)
     n = len(points)
     arcs = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -307,22 +308,22 @@ def directed_subtour_optimum(points):
         for j in range(n):
             if j != v:
                 row[idx[(v, j)]] = 1.0
-        eq.append((row, 1.0))
+        eq.append(sparse_row(row, 1.0))
     for v in range(n):
         row = np.zeros(nv)
         for j in range(n):
             if j != v:
                 row[idx[(j, v)]] = 1.0
-        eq.append((row, 1.0))
+        eq.append(sparse_row(row, 1.0))
     ineq = []
     for size in range(2, n):
         for S in itertools.combinations(range(n), size):
             row = np.zeros(nv)
             for i, j in itertools.permutations(S, 2):
                 row[idx[(i, j)]] = 1.0
-            ineq.append((row, float(size - 1)))
-    sol = solve(DenseLp(objective=costs, eq_rows=eq, ineq_rows=ineq,
-                        var_bounds=[(0.0, 1.0)] * nv))
+            ineq.append(sparse_row(row, size - 1))
+    sol = solve(SparseLp(objective=costs, eq_rows=eq, ineq_rows=ineq,
+                         var_bounds=[(0.0, 1.0)] * nv))
     assert sol.status is LpStatus.OPTIMAL
     return sol.objective_value
 
@@ -412,6 +413,21 @@ def test_solve_subtour_lp_deterministic(rng):
     assert x1.objective_value == x2.objective_value
     assert x1.edges == x2.edges
     assert [c.subset for c in cuts1] == [c.subset for c in cuts2]
+
+
+def test_solve_subtour_lp_builds_no_dense_row_by_edge_matrix():
+    # one dense (points x edges) float64 matrix takes 8 * points * edges
+    # bytes; sparse rows and the (rows x rows) basis inverse stay well below
+    inst = gline_instance(30, math.sqrt(29))
+    points = inst.n_points
+    edges = points * (points - 1) // 2
+    tracemalloc.start()
+    try:
+        solve_subtour_lp(inst)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * points * edges
 
 
 @pytest.mark.parametrize("n", [12, 14, 16, 20, 24])
