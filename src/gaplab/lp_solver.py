@@ -91,7 +91,12 @@ class SparseLp:
             cols = np.concatenate(nonempty)
             if not (cols.dtype.kind in "iu" and 0 <= cols.min() and cols.max() < nv):
                 raise LpDimensionError(f"row column indices must be integers in [0, {nv})")
-        bounds = np.asarray(self.var_bounds, dtype=float).reshape(nv, 2)
+        try:
+            bounds = np.asarray(self.var_bounds, dtype=float)
+        except ValueError:  # ragged or non-numeric
+            bounds = None
+        if bounds is None or bounds.shape != (nv, 2):
+            raise LpDimensionError("bounds must be (lo, hi) pairs of numbers")
         lo, hi = bounds[:, 0], bounds[:, 1]
         bad = ~(np.isfinite(lo) & np.isfinite(hi) & (0 <= lo) & (lo <= hi))
         if bad.any():

@@ -240,15 +240,23 @@ class DRule:
         return self.kind
 
     def d_of(self, n: int) -> float:
+        """d at n; DomainError where the rule has no finite real value."""
         if self.kind == self.SQRT_N_MINUS_1:
-            return math.sqrt(n - 1)
-        if self.kind == self.SQRT_HALF:
-            return math.sqrt(n / 2 - 1)
-        if self.kind == self.CONST:
-            return self.value
-        if self.kind == self.POW:
-            return float(n) ** self.value
-        raise DomainError(f"unknown d-rule kind {self.kind!r}")
+            d = math.sqrt(n - 1) if n >= 1 else math.nan
+        elif self.kind == self.SQRT_HALF:
+            d = math.sqrt(n / 2 - 1) if n >= 2 else math.nan
+        elif self.kind == self.CONST:
+            d = self.value
+        elif self.kind == self.POW:
+            try:
+                d = math.pow(n, self.value)
+            except (ValueError, OverflowError):  # math's domain and range errors
+                d = math.nan
+        else:
+            raise DomainError(f"unknown d-rule kind {self.kind!r}")
+        if not math.isfinite(d):
+            raise DomainError(f"d-rule {self.name} has no finite value at n={n}")
+        return d
 
 
 def sweep(n_values, d_rule: DRule) -> list[RatioReport]:
@@ -261,9 +269,9 @@ def sweep(n_values, d_rule: DRule) -> list[RatioReport]:
     lp, closed, zvector = LpBackend.CLOSED_FORM, TourBackend.CLOSED_FORM, TourBackend.ZVECTOR
     for n in n_values:
         n = int(n)
-        d = d_rule.d_of(n)
-        report = RatioReport(n=n, d=d)
+        report = RatioReport(n=n, d=math.nan)
         try:
+            report.d = d = d_rule.d_of(n)
             _fill(report, lp, closed if proven_tour_form_holds(n, d) else zvector)
         except DomainError as exc:
             report.error = str(exc)

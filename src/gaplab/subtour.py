@@ -51,25 +51,24 @@ class CutRecord:
 
 @dataclass
 class EdgeValueMap:
-    """Fractional edge values x_e over unordered point pairs."""
+    """Fractional edge values over unordered point pairs: ``values[k]`` is x
+    on (I[k], J[k]), with I[k] < J[k], each pair once, sorted by (i, j), and
+    unlisted pairs 0.  LP solutions list every pair (:func:`edge_endpoints`)."""
 
     n_points: int
-    edges: dict[tuple[int, int], float]
+    I: np.ndarray
+    J: np.ndarray
+    values: np.ndarray
     objective_value: float
-
-    def value(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        return self.edges.get((min(i, j), max(i, j)), 0.0)
 
     def as_matrix(self) -> np.ndarray:
         W = np.zeros((self.n_points, self.n_points))
-        for (i, j), v in self.edges.items():
-            W[i, j] = W[j, i] = v
+        W[self.I, self.J] = W[self.J, self.I] = self.values
         return W
 
     def degrees(self) -> np.ndarray:
-        return self.as_matrix().sum(axis=1)
+        n = self.n_points
+        return np.bincount(self.I, self.values, n) + np.bincount(self.J, self.values, n)
 
     def max_degree_violation(self) -> float:
         return float(np.abs(self.degrees() - 2.0).max())
@@ -79,7 +78,9 @@ class EdgeValueMap:
         return value
 
     def to_json(self) -> str:
-        rows = [[i, j, v] for (i, j), v in sorted(self.edges.items())]
+        keep = self.values > SUPPORT_EPS
+        rows = [[i, j, v] for i, j, v in zip(self.I[keep].tolist(), self.J[keep].tolist(),
+                                             self.values[keep].tolist())]
         return json.dumps({"edges": rows, "objective": self.objective_value}) + "\n"
 
 
@@ -87,13 +88,6 @@ def edge_endpoints(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays of the n(n-1)/2 unordered pairs in row-major order."""
     iu = np.triu_indices(n, k=1)
     return iu[0], iu[1]
-
-
-def _edge_value_map(n: int, values: np.ndarray, objective: float) -> EdgeValueMap:
-    I, J = edge_endpoints(n)
-    keep = values > SUPPORT_EPS
-    edges = {(int(i), int(j)): float(v) for i, j, v in zip(I[keep], J[keep], values[keep])}
-    return EdgeValueMap(n_points=n, edges=edges, objective_value=objective)
 
 
 # -- separation --------------------------------------------------------------
@@ -197,8 +191,8 @@ def _subset_row(S, I: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def solve_subtour_lp(obj, tol: float = SEPARATION_TOL) -> tuple[EdgeValueMap, list[CutRecord]]:
     """Exact subtour-LP optimum of an Instance or raw (N, 2) point array.
 
-    Returns the optimal fractional edge values (no violated subset remains
-    above ``tol``) together with the list of cuts added along the way.
+    Returns the last round's edge values, in which separation found no
+    violated subset above ``tol``, together with the cuts added on the way.
     """
     coords, p = coerce_points(obj)
     n = len(coords)
@@ -230,12 +224,10 @@ def solve_subtour_lp(obj, tol: float = SEPARATION_TOL) -> tuple[EdgeValueMap, li
         sol = lp_solver.solve(lp, start=warm)
         if sol.status is not LpStatus.OPTIMAL:
             raise SubtourSolveError(f"subtour LP solve returned {sol.status.value}")
-        W = np.zeros((n, n))
-        W[I, J] = W[J, I] = sol.values
-
-        violated = _violated_sets(W, tol)
+        x = EdgeValueMap(n, I, J, sol.values, sol.objective_value)
+        violated = _violated_sets(x.as_matrix(), tol)
         if not violated:
-            return _edge_value_map(n, sol.values, sol.objective_value), records
+            return x, records
         new = [(S, v) for S, v in violated if S not in seen]
         if not new:
             # a subset whose row is already present cannot stay violated beyond
@@ -278,10 +270,10 @@ def build_half_integral(inst: Instance) -> EdgeValueMap:
     mid = lambda x: inst.index_of(x, 2)
     top = lambda x: inst.index_of(x, 3)
 
-    edges: dict[tuple[int, int], float] = {}
+    support: list[tuple[int, int, float]] = []
 
     def put(a: int, b: int, v: float) -> None:
-        edges[(min(a, b), max(a, b))] = v
+        support.append((min(a, b), max(a, b), v))
 
     for x in range(1, n):
         put(top(x), top(x + 1), 1.0)
@@ -296,8 +288,9 @@ def build_half_integral(inst: Instance) -> EdgeValueMap:
         put(mid(end), mid(nbr), 0.5)
 
     objective = sum(v * lp_distance(inst.points[i], inst.points[j], inst.spec.p)
-                    for (i, j), v in edges.items())
-    return EdgeValueMap(n_points=inst.n_points, edges=edges, objective_value=objective)
+                    for i, j, v in support)
+    I, J, values = (np.array(col) for col in zip(*sorted(support)))
+    return EdgeValueMap(inst.n_points, I, J, values, objective)
 
 
 def grid_tour_length(n: int, d: float) -> float:

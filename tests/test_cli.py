@@ -109,6 +109,19 @@ def test_sweep_error_rows_keep_the_columns(capsys):
     assert len(rows) == 4 and all(len(row) == 13 for row in rows)
     assert [row[-1] for row in rows[1:]] == ["n must be even and >= 4, got 5", "",
                                              "n must be even and >= 4, got 7"]
+    # a rule with no finite d at some n leaves d empty there and says why
+    for n_range, rule, no_d in (("1:3", "sqrt-half", ["1"]), ("0:3", "sqrt-n-1", ["0"]),
+                                ("4:6", "pow:2000", ["4", "5", "6"])):
+        code, out, _ = run(capsys, "sweep", "--n", n_range, "--d-rule", rule)
+        assert code == 0
+        rows = list(csv.reader(out.splitlines()))
+        assert [row[0] for row in rows[1:]] == [str(n) for n in parse_range(n_range)]
+        assert all(len(row) == 13 for row in rows)
+        for row in rows[1:]:
+            if row[0] in no_d:
+                assert (row[1], row[-1]) == ("", f"d-rule {rule} has no finite value at n={row[0]}")
+            else:
+                assert row[1] != ""
 
 
 def test_sweep_deterministic_output(capsys):

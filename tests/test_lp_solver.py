@@ -105,6 +105,9 @@ def test_dimension_mismatch():
             solve(lp)
     with pytest.raises(LpDimensionError, match="1 bounds for 2 variables"):
         solve(SparseLp(objective=np.array([1.0, 2.0]), var_bounds=bounds(1)))
+    for not_pairs in ([(0, 1, 2), (0, 1, 2)], [(0, 1), (0, 1, 2)], [0, 1]):
+        with pytest.raises(LpDimensionError, match=r"bounds must be \(lo, hi\) pairs"):
+            solve(SparseLp(objective=np.array([1.0, 2.0]), var_bounds=not_pairs))
     with pytest.raises(LpDimensionError, match=r"invalid bounds \(0.0, inf\)"):
         solve(SparseLp(objective=np.array([1.0]), var_bounds=[(0.0, np.inf)]))
     with pytest.raises(LpDimensionError, match=r"invalid bounds \(0.5, 0.25\)"):

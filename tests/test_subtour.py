@@ -28,8 +28,8 @@ from conftest import EQUILATERAL, UNIT_SQUARE, gline_instance, sparse_row
 
 def edge_map_from_matrix(W):
     n = len(W)
-    edges = {(i, j): float(W[i, j]) for i in range(n) for j in range(i + 1, n) if W[i, j] > 0}
-    return EdgeValueMap(n_points=n, edges=edges, objective_value=0.0)
+    I, J = edge_endpoints(n)
+    return EdgeValueMap(n_points=n, I=I, J=J, values=W[I, J], objective_value=0.0)
 
 
 def exhaustive_min_cut(W):
@@ -45,8 +45,12 @@ def exhaustive_min_cut(W):
 
 
 def test_solve_subtour_lp_reference_value():
-    x, cuts = solve_subtour_lp(gline_instance(6, 3.0))
+    inst = gline_instance(6, 3.0)
+    x, cuts = solve_subtour_lp(inst)
     assert x.objective_value == pytest.approx(3 * 6 - 4 + 9 + math.sqrt(10), abs=1e-5)
+    dist = pairwise_distances(inst.coords())
+    assert x.values @ dist[x.I, x.J] == pytest.approx(x.objective_value)
+    assert x.degrees() == pytest.approx(x.as_matrix().sum(axis=1), abs=1e-12)
     assert x.max_degree_violation() <= 1e-6
     assert separate(x) is None
     assert all(0 < len(c.subset) < 18 and c.violation > 0 for c in cuts)
@@ -140,7 +144,7 @@ def test_half_integral_witness_invariants(n, d):
     assert witness.max_degree_violation() <= 1e-12
     assert witness.min_cut() >= 2 - 1e-12
     assert witness.objective_value == pytest.approx(closed_form_lp_value(n, d), abs=1e-9)
-    assert set(witness.edges.values()) <= {0.5, 1.0}
+    assert set(witness.values.tolist()) <= {0.5, 1.0}
 
 
 def test_half_integral_reference_objectives():
@@ -343,6 +347,11 @@ def test_edge_value_map_json():
     doc = json.loads(x.to_json())
     assert doc["objective"] == pytest.approx(3.0, abs=1e-6)
     assert sorted(tuple(e[:2]) for e in doc["edges"]) == [(0, 1), (0, 2), (1, 2)]
+    doc = json.loads(build_half_integral(gline_instance(8, 4.0)).to_json())
+    pairs = [tuple(e[:2]) for e in doc["edges"]]
+    assert pairs == sorted(set(pairs)) and all(i < j for i, j in pairs)
+    assert {e[2] for e in doc["edges"]} <= {0.5, 1.0}
+    assert doc["objective"] == pytest.approx(closed_form_lp_value(8, 4.0), abs=1e-9)
 
 
 def test_cut_round_cap_raises(monkeypatch):
@@ -411,7 +420,8 @@ def test_solve_subtour_lp_deterministic(rng):
     x1, cuts1 = solve_subtour_lp(pts)
     x2, cuts2 = solve_subtour_lp(pts)
     assert x1.objective_value == x2.objective_value
-    assert x1.edges == x2.edges
+    assert np.array_equal(x1.values, x2.values)
+    assert x1.to_json() == x2.to_json()
     assert [c.subset for c in cuts1] == [c.subset for c in cuts2]
 
 
