@@ -29,7 +29,7 @@ def main() -> int:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     grid = geometric_even_grid(18, args.max_n, 80)
 
-    for rule in (DRule.sqrt_n_minus_1(), DRule.const(4)):
+    for rule in (DRule.parse("sqrt-n-1"), DRule.parse("const:4")):
         reports = sweep(grid, rule)
         path = args.out_dir / f"ratio_{rule.name.replace(':', '')}.csv"
         path.write_text(sweep_csv(reports))

@@ -1,8 +1,10 @@
 """Command-line entry point: gen | solve | sweep | verify.
 
-Exit codes: 0 success, 1 internal failure, 2 usage or precondition error.
-All floats print with 12 significant digits so reruns diff cleanly; the
-environment variable GAPLAB_HK_CAP overrides the Held-Karp size cap.
+``--d`` and ``--d-rule`` share one grammar, ``ratio.DRule.GRAMMAR``.  Only
+``solve tour``, ``solve ratio`` and ``verify`` read the Held-Karp size cap:
+``--held-karp-cap``, else the environment variable GAPLAB_HK_CAP, else the
+default.  Exit codes: 0 success, 1 internal failure, 2 usage or
+precondition error.  All floats print with 12 significant digits.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -22,41 +24,32 @@ from .ratio import DRule, LpBackend, TourBackend
 HK_CAP_ENV = "GAPLAB_HK_CAP"
 
 
-@dataclass
-class Config:
-    held_karp_cap: int = exact.HELD_KARP_DEFAULT_CAP
+def held_karp_cap(flag: int | None) -> int:
+    """The Held-Karp size cap: the flag if given, else GAPLAB_HK_CAP, else
+    the default; DomainError unless it is a positive integer."""
+    if flag is None:
+        text = os.environ.get(HK_CAP_ENV)
+        if text is None:
+            return exact.HELD_KARP_DEFAULT_CAP
+        try:
+            flag = int(text)
+        except ValueError as exc:
+            raise DomainError(f"{HK_CAP_ENV} must be an integer, got {text!r}") from exc
+    if flag <= 0:
+        raise DomainError(f"held_karp_cap must be positive, got {flag}")
+    return flag
 
-    def __post_init__(self):
-        if self.held_karp_cap <= 0:
-            raise DomainError(f"held_karp_cap must be positive, got {self.held_karp_cap}")
 
-    @classmethod
-    def from_env(cls, **overrides) -> "Config":
-        cap = os.environ.get(HK_CAP_ENV)
-        if cap is not None and "held_karp_cap" not in overrides:
-            try:
-                overrides["held_karp_cap"] = int(cap)
-            except ValueError as exc:
-                raise DomainError(f"{HK_CAP_ENV} must be an integer, got {cap!r}") from exc
-        return cls(**overrides)
+def parse_backend(kind: type[Enum], text: str, option: str) -> Enum:
+    try:
+        return kind(text.replace("-", "_"))
+    except ValueError:
+        names = " | ".join(m.value.replace("_", "-") for m in kind)
+        raise DomainError(f"{option} takes {names} (or _ for -), got {text!r}") from None
 
 
 def fmt12(x: float) -> str:
     return f"{float(x):.12g}"
-
-
-def parse_d(text: str, n: int) -> float:
-    """Row spacing: a numeric literal or one of the symbolic forms
-    sqrt(n-1) and sqrt(n/2-1)."""
-    s = text.strip().replace(" ", "")
-    if s == "sqrt(n-1)":
-        return math.sqrt(n - 1)
-    if s == "sqrt(n/2-1)":
-        return math.sqrt(n / 2 - 1)
-    try:
-        return float(s)
-    except ValueError as exc:
-        raise DomainError(f"cannot parse d value {text!r}") from exc
 
 
 def parse_p(text: str) -> float:
@@ -79,19 +72,17 @@ def _write_output(data: bytes, out: str | None) -> None:
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_gen(args) -> int:
-    spec = InstanceSpec(n=args.n, d=parse_d(args.d, args.n), p=parse_p(args.p))
-    inst = generate(spec)
-    _write_output(export(inst, fmt=args.format, scale=args.scale), args.out)
+    spec = InstanceSpec(n=args.n, d=DRule.parse(args.d).d_of(args.n), p=parse_p(args.p))
+    _write_output(export(generate(spec), fmt=args.format, scale=args.scale), args.out)
     return 0
 
 
 def cmd_solve(args) -> int:
-    config = Config.from_env()
     n = args.n
-    d = parse_d(args.d, n)
+    d = DRule.parse(args.d).d_of(n)
     out = []
     if args.what == "lp":
-        backend = LpBackend(args.backend.replace("-", "_")) if args.backend else LpBackend.CUTTING_PLANE
+        backend = parse_backend(LpBackend, args.backend or "cutting-plane", "--backend")
         value = ratio.lp_value(n, d, backend)
         out.append(f"lp = {fmt12(value)}  [{backend.value}]")
         try:
@@ -102,13 +93,13 @@ def cmd_solve(args) -> int:
             out.append(f"lp_closed = {fmt12(closed)}")
             out.append(f"lp_closed_variant = {fmt12(closed + 1.0)}")  # closed_form_lp_value_variant
     elif args.what == "tour":
-        backend = TourBackend(args.backend.replace("-", "_")) if args.backend else TourBackend.ZVECTOR
-        value = ratio.tour_value(n, d, backend, config.held_karp_cap)
+        backend = parse_backend(TourBackend, args.backend or "zvector", "--backend")
+        value = ratio.tour_value(n, d, backend, held_karp_cap(None))
         out.append(f"tour = {fmt12(value)}  [{backend.value}]")
     else:  # ratio
-        lp_mode = LpBackend(args.lp_backend.replace("-", "_"))
-        tour_mode = TourBackend(args.tour_backend.replace("-", "_"))
-        rep = ratio.ratio_exact(n, d, lp_mode, tour_mode, held_karp_cap=config.held_karp_cap)
+        lp_mode = parse_backend(LpBackend, args.lp_backend, "--lp-backend")
+        tour_mode = parse_backend(TourBackend, args.tour_backend, "--tour-backend")
+        rep = ratio.ratio_exact(n, d, lp_mode, tour_mode, held_karp_cap(None))
         out.append(f"lp = {fmt12(rep.lp_numeric)}  [{rep.backend_lp}]")
         out.append(f"tour = {fmt12(rep.tour_numeric)}  [{rep.backend_tour}]")
         out.append(f"ratio = {fmt12(rep.ratio_numeric)}")
@@ -131,15 +122,14 @@ def parse_range(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
-    rule = DRule.parse(args.d_rule)
-    reports = ratio.sweep(parse_range(args.n), rule)
+    reports = ratio.sweep(parse_range(args.n), DRule.parse(args.d_rule))
     _write_output(ratio.sweep_csv(reports).encode("utf-8"), args.out)
     return 0
 
 
 # -- verify ------------------------------------------------------------------------
 
-def run_verify(config: Config, lp_constant_offset: float = 0.0):
+def run_verify(hk_cap: int, lp_constant_offset: float = 0.0):
     """The invariant suite: (name, status, detail) per check, status one of
     'PASS', 'FAIL', 'SKIP'.  Checks whose instance sizes exceed the
     Held-Karp cap are skipped, not failed.  A check that raises is recorded
@@ -151,14 +141,10 @@ def run_verify(config: Config, lp_constant_offset: float = 0.0):
         try:
             result = fn()
         except Exception as exc:  # enumerate, do not abort
-            checks.append((name, "FAIL", f"raised {exc!r}"))
-            return
-        if result == "SKIP" or isinstance(result, tuple) and result[0] == "SKIP":
-            checks.append((name, "SKIP", result[1] if isinstance(result, tuple) else ""))
-        elif isinstance(result, tuple):
-            checks.append((name, "PASS" if result[0] else "FAIL", result[1]))
-        else:
-            checks.append((name, "PASS" if result else "FAIL", ""))
+            result = (False, f"raised {exc!r}")
+        # a check returns ok or (ok, detail), where ok is a truth value or "SKIP"
+        ok, detail = result if isinstance(result, tuple) else (result, "")
+        checks.append((name, ok if isinstance(ok, str) else "PASS" if ok else "FAIL", detail))
 
     rng = np.random.default_rng(1905)
 
@@ -175,11 +161,11 @@ def run_verify(config: Config, lp_constant_offset: float = 0.0):
 
     for n, d in ((4, 4.0), (6, 4.0)):
         def oracle(n=n, d=d):
-            if 3 * n > config.held_karp_cap:
-                return ("SKIP", f"{3 * n} points exceeds cap {config.held_karp_cap}")
+            if 3 * n > hk_cap:
+                return ("SKIP", f"{3 * n} points exceeds cap {hk_cap}")
             zv = gline.zvector_optimum(n, d)[1]
             hk = exact.held_karp(generate(InstanceSpec(n=n, d=d)),
-                                 max_points=config.held_karp_cap).length
+                                 max_points=hk_cap).length
             return abs(zv - hk) <= 1e-9, f"zvector={fmt12(zv)} held_karp={fmt12(hk)}"
         record(f"z-vector optimum equals Held-Karp on G({n},{d:g})", oracle)
 
@@ -233,15 +219,11 @@ def run_verify(config: Config, lp_constant_offset: float = 0.0):
 
 
 def cmd_verify(args) -> int:
-    overrides = {} if args.held_karp_cap is None else {"held_karp_cap": args.held_karp_cap}
-    config = Config.from_env(**overrides)
-    checks = run_verify(config, lp_constant_offset=args.corrupt_lp_constant)
+    checks = run_verify(held_karp_cap(args.held_karp_cap),
+                        lp_constant_offset=args.corrupt_lp_constant)
     width = max(len(name) for name, _, _ in checks)
     for name, status, detail in checks:
-        line = f"{status:<4} {name:<{width}}"
-        if detail:
-            line += f"  {detail}"
-        print(line.rstrip())
+        print(f"{status:<4} {name:<{width}}  {detail}".rstrip())
     failed = [c for c in checks if c[1] == "FAIL"]
     skipped = [c for c in checks if c[1] == "SKIP"]
     print(f"{len(checks) - len(failed) - len(skipped)} passed, "
@@ -259,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate an instance and serialize it")
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--d", type=str, required=True)
+    gen.add_argument("--d", type=str, required=True, help=DRule.GRAMMAR)
     gen.add_argument("--p", type=str, default="2")
     gen.add_argument("--format", choices=["json", "tsplib"], default="json")
     gen.add_argument("--scale", type=int, default=1000)
@@ -269,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve the LP, the tour, or their ratio")
     solve.add_argument("what", choices=["lp", "tour", "ratio"])
     solve.add_argument("--n", type=int, required=True)
-    solve.add_argument("--d", type=str, required=True)
+    solve.add_argument("--d", type=str, required=True, help=DRule.GRAMMAR)
     solve.add_argument("--backend", type=str, default=None,
                        help="lp: cutting-plane|closed-form; tour: zvector|held-karp|closed-form")
     solve.add_argument("--lp-backend", type=str, default="closed-form")
@@ -278,8 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="ratio series over a range of n")
     sweep.add_argument("--n", type=str, required=True, help="START:STOP[:STEP], inclusive")
-    sweep.add_argument("--d-rule", type=str, required=True,
-                       help="sqrt-n-1 | sqrt-half | const:V | pow:ALPHA")
+    sweep.add_argument("--d-rule", type=str, required=True, help=DRule.GRAMMAR)
     sweep.add_argument("--out", type=str, default=None)
     sweep.set_defaults(func=cmd_sweep)
 

@@ -19,8 +19,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -39,34 +40,29 @@ class TourBackend(Enum):
     CLOSED_FORM = "closed_form"
 
 
-CSV_COLUMNS = [
-    "n", "d", "lp_numeric", "lp_closed", "tour_numeric", "tour_closed",
-    "ratio_numeric", "ratio_closed", "backend_lp", "backend_tour",
-    "lp_closed_variant", "ratio_closed_variant", "error",
-]
-
-
 @dataclass
 class RatioReport:
     """Per-(n, d) record of LP value, tour value, and their ratio.
 
     ``*_numeric`` holds the value produced by the selected backend,
     ``*_closed`` the closed-form counterpart where one exists.  The LP
-    closed form is carried in both candidate-constant variants.
+    closed form is carried in both candidate-constant variants.  The
+    fields are declared in sweep-CSV column order; that order is the
+    schema (:data:`CSV_COLUMNS`).
     """
 
     n: int
     d: float
     lp_numeric: float = math.nan
     lp_closed: float = math.nan
-    lp_closed_variant: float = math.nan
     tour_numeric: float = math.nan
     tour_closed: float = math.nan
     ratio_numeric: float = math.nan
     ratio_closed: float = math.nan
-    ratio_closed_variant: float = math.nan
     backend_lp: str = ""
     backend_tour: str = ""
+    lp_closed_variant: float = math.nan
+    ratio_closed_variant: float = math.nan
     error: str = ""
 
     @property
@@ -74,11 +70,18 @@ class RatioReport:
         return self.tour_numeric - self.tour_closed
 
     def csv_row(self) -> list[str]:
-        def fmt(v):
-            if isinstance(v, float):
-                return "" if math.isnan(v) else f"{v:.12g}"
-            return str(v)
-        return [fmt(getattr(self, col)) for col in CSV_COLUMNS]
+        return [_csv_cell(v) for v in _csv_values(self)]
+
+
+CSV_COLUMNS = [f.name for f in fields(RatioReport)]
+_csv_values = attrgetter(*CSV_COLUMNS)
+
+
+def _csv_cell(v) -> str:
+    """A float to 12 significant digits (NaN as empty), anything else as str."""
+    if isinstance(v, float):
+        return "" if math.isnan(v) else f"{v:.12g}"
+    return str(v)
 
 
 def closed_form_ratio(n: int) -> float:
@@ -155,8 +158,9 @@ def lp_value(n: int, d: float, backend: LpBackend) -> float:
 
 def _fill(report: RatioReport, lp_mode: LpBackend, tour_mode: TourBackend,
           held_karp_cap: int = exact.HELD_KARP_DEFAULT_CAP) -> RatioReport:
-    """Set the fields in CSV order, evaluating each closed form once; a
-    DomainError propagates and leaves the fields set so far in place."""
+    """Set the LP fields, then the tour fields, then the ratios, evaluating
+    each closed form once; a DomainError propagates and leaves the fields
+    set so far in place."""
     n, d = report.n, report.d
     report.backend_lp = lp_mode.value
     try:
@@ -204,34 +208,23 @@ class DRule:
     SQRT_HALF = "sqrt-half"
     CONST = "const"
     POW = "pow"
-
-    @classmethod
-    def sqrt_n_minus_1(cls) -> "DRule":
-        return cls(cls.SQRT_N_MINUS_1)
-
-    @classmethod
-    def sqrt_half(cls) -> "DRule":
-        return cls(cls.SQRT_HALF)
-
-    @classmethod
-    def const(cls, v: float) -> "DRule":
-        return cls(cls.CONST, float(v))
-
-    @classmethod
-    def power(cls, alpha: float) -> "DRule":
-        return cls(cls.POW, float(alpha))
+    GRAMMAR = "sqrt-n-1 | sqrt(n-1) | sqrt-half | sqrt(n/2-1) | const:V | V | pow:ALPHA"
 
     @classmethod
     def parse(cls, text: str) -> "DRule":
-        if text == cls.SQRT_N_MINUS_1:
-            return cls.sqrt_n_minus_1()
-        if text == cls.SQRT_HALF:
-            return cls.sqrt_half()
-        if text.startswith("const:"):
-            return cls.const(float(text.split(":", 1)[1]))
-        if text.startswith("pow:"):
-            return cls.power(float(text.split(":", 1)[1]))
-        raise DomainError(f"unknown d-rule {text!r}")
+        """The rule named by ``text`` in :attr:`GRAMMAR`, spaces ignored;
+        a bare number V is the constant rule const:V."""
+        s = text.strip().replace(" ", "")
+        s = {"sqrt(n-1)": cls.SQRT_N_MINUS_1, "sqrt(n/2-1)": cls.SQRT_HALF}.get(s, s)
+        if s in (cls.SQRT_N_MINUS_1, cls.SQRT_HALF):
+            return cls(s)
+        kind, _, value = (s if ":" in s else f"{cls.CONST}:{s}").partition(":")
+        if kind in (cls.CONST, cls.POW):
+            try:
+                return cls(kind, float(value))
+            except ValueError:
+                pass
+        raise DomainError(f"cannot parse d {text!r}; expected {cls.GRAMMAR}")
 
     @property
     def name(self) -> str:

@@ -123,14 +123,14 @@ def test_criterion_6_convergence():
     t0 = time.perf_counter()
     grid = sorted({18, 20, 24, 30, 40, 60, 100, 200, 400, 1000, 2000, 5000,
                    10_000, 30_000, 100_000, 300_000, 1_000_000})
-    reports = g.sweep(grid, g.DRule.sqrt_n_minus_1())
+    reports = g.sweep(grid, g.DRule.parse("sqrt-n-1"))
     ratios = [r.ratio_numeric for r in reports]
     monotone = all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
     final = ratios[-1]
     near_limit = final >= 1.332 and abs(final - 4 / 3) <= 2e-3
 
     const_grid = sorted(set(range(18, 2001, 2)) | {int(x) // 2 * 2 for x in np.geomspace(2000, 1e6, 40)})
-    const_reports = g.sweep(const_grid, g.DRule.const(4))
+    const_reports = g.sweep(const_grid, g.DRule.parse("const:4"))
     const_max = max(r.ratio_numeric for r in const_reports)
     bounded_away = const_max < 1.30
     elapsed = time.perf_counter() - t0

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from gaplab.cli import Config, main, parse_d, parse_range, run_verify
+from gaplab import exact
+from gaplab.cli import held_karp_cap, main, parse_range, run_verify
 from gaplab.instances import DomainError
 
 
@@ -72,6 +73,12 @@ def test_solve_lp_cutting_plane(capsys):
                        "--backend", "cutting-plane")
     assert code == 0
     assert "lp = " in out and "[cutting_plane]" in out
+    assert run(capsys, "solve", "lp", "--n", "5", "--d", "3", "--backend", "cutting_plane")[1] == out
+    # an unknown backend names the accepted spellings, not the enum
+    code, _, err = run(capsys, "solve", "lp", "--n", "5", "--d", "3", "--backend", "held-karp")
+    assert code == 2
+    assert err == ("error: --backend takes cutting-plane | closed-form (or _ for -), "
+                   "got 'held-karp'\n")
 
 
 def test_solve_lp_omits_the_closed_form_where_it_refuses(capsys):
@@ -150,17 +157,28 @@ def test_verify_corrupted_constant_fails_loudly(capsys):
     assert "FAIL" in out
 
 
-def test_hk_cap_env_override(monkeypatch):
+def test_hk_cap_env_override(monkeypatch, capsys):
+    monkeypatch.delenv("GAPLAB_HK_CAP", raising=False)
+    assert held_karp_cap(None) == exact.HELD_KARP_DEFAULT_CAP
     monkeypatch.setenv("GAPLAB_HK_CAP", "12")
-    assert Config.from_env().held_karp_cap == 12
+    assert held_karp_cap(None) == 12
+    assert held_karp_cap(9) == 9  # the flag comes first
     monkeypatch.setenv("GAPLAB_HK_CAP", "banana")
     with pytest.raises(DomainError):
-        Config.from_env()
+        held_karp_cap(None)
+    # only commands that can run Held-Karp read the cap
+    code, out, _ = run(capsys, "solve", "lp", "--n", "4", "--d", "3")
+    assert code == 0 and out.startswith("lp = ")
+    code, _, err = run(capsys, "solve", "tour", "--n", "4", "--d", "3", "--backend", "held-karp")
+    assert code == 2 and "GAPLAB_HK_CAP" in err
 
 
-def test_config_validation():
+def test_config_validation(monkeypatch):
     with pytest.raises(DomainError):
-        Config(held_karp_cap=0)
+        held_karp_cap(0)
+    monkeypatch.setenv("GAPLAB_HK_CAP", "0")
+    with pytest.raises(DomainError):
+        held_karp_cap(None)
 
 
 def test_solve_ratio_reports_the_sqrt_half_closed_form(capsys):
@@ -170,12 +188,12 @@ def test_solve_ratio_reports_the_sqrt_half_closed_form(capsys):
     assert f"ratio_closed = {138 / (3 * 34 - 4 + 12 + math.sqrt(17)):.12g}" in out
 
 
-def test_parse_d_forms():
-    assert parse_d("sqrt(n-1)", 18) == pytest.approx(math.sqrt(17))
-    assert parse_d("sqrt(n/2-1)", 36) == pytest.approx(math.sqrt(17))
-    assert parse_d("6.5", 0) == 6.5
-    with pytest.raises(DomainError):
-        parse_d("two", 4)
+def test_d_spellings_are_interchangeable(capsys):
+    lp = [run(capsys, "solve", "lp", "--n", "18", "--d", d) for d in ("sqrt-n-1", "sqrt(n-1)")]
+    assert lp[0] == lp[1] and lp[0][0] == 0
+    rows = [run(capsys, "sweep", "--n", "18:40:2", "--d-rule", rule)
+            for rule in ("sqrt(n-1)", "sqrt-n-1")]
+    assert rows[0] == rows[1] and rows[0][0] == 0
 
 
 def test_parse_range_forms():
@@ -187,7 +205,7 @@ def test_parse_range_forms():
 
 
 def test_run_verify_reports_structured_checks():
-    checks = run_verify(Config(held_karp_cap=12))
+    checks = run_verify(12)
     names = [name for name, _, _ in checks]
     assert any("Held-Karp" in n for n in names)
     statuses = {status for _, status, _ in checks}

@@ -196,8 +196,8 @@ def test_zvector_search_matches_full_enumeration(d):
 def test_zvector_search_matches_full_enumeration_large_and_growing_d():
     for n in list(range(2002, 20001, 666)) + [19998, 20000]:
         assert_search_matches_enumeration(n, 4.0)
-    for rule, ns in ((DRule.power(0.5), (16, 100, 1000, 4096, 9998)),
-                     (DRule.sqrt_half(), (34, 36, 38, 500, 2002, 12000))):
+    for rule, ns in ((DRule.parse("pow:0.5"), (16, 100, 1000, 4096, 9998)),
+                     (DRule.parse("sqrt-half"), (34, 36, 38, 500, 2002, 12000))):
         for n in ns:
             assert_search_matches_enumeration(n, rule.d_of(n))
 

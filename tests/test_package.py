@@ -1,6 +1,14 @@
+import os
+import pathlib
+import subprocess
+import sys
 import types
 
+import pytest
+
 import gaplab
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
 
 def test_all_exports_public_names_not_submodules():
@@ -8,3 +16,23 @@ def test_all_exports_public_names_not_submodules():
         assert name not in gaplab.__all__
     for name in gaplab.__all__:
         assert not isinstance(getattr(gaplab, name), types.ModuleType), name
+
+
+@pytest.mark.parametrize("argv, summary", [
+    (["convergence_sweep.py", "--max-n", "100", "--out-dir", "{tmp}"],
+     ["    sqrt-n-1: 41 rows -> {tmp}/ratio_sqrt-n-1.csv",
+      "     const:4: 41 rows -> {tmp}/ratio_const4.csv"]),
+    (["adjudicate_lp_constant.py", "--n-max", "4"],
+     ["3n-4: 5 grid points", "integral 3n: 1 grid points",
+      "verdict: the 3n-4 constant is the one numeric optima support"]),
+])
+def test_scripts_run(tmp_path, argv, summary):
+    # the scripts call the package API directly; an API change must not break them
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gaplab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for line in summary:
+        assert line.format(tmp=tmp_path) in lines

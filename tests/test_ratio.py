@@ -94,7 +94,7 @@ def test_variant_exceeds_sqrt_rule_ratio(n):
 
 
 def test_sweep_sqrt_rule_monotone():
-    reports = sweep(range(18, 402, 2), DRule.sqrt_n_minus_1())
+    reports = sweep(range(18, 402, 2), DRule.parse("sqrt-n-1"))
     ratios = [r.ratio_numeric for r in reports]
     assert all(not r.error for r in reports)
     assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
@@ -103,7 +103,7 @@ def test_sweep_sqrt_rule_monotone():
 
 
 def test_sweep_const_rule_uses_enumeration():
-    reports = sweep([20, 50, 100], DRule.const(4))
+    reports = sweep([20, 50, 100], DRule.parse("const:4"))
     assert all(r.backend_tour == "zvector" for r in reports)
     assert all(math.isnan(r.tour_closed) for r in reports)
     assert all(1.0 <= r.ratio_numeric < 1.5 for r in reports)
@@ -111,14 +111,14 @@ def test_sweep_const_rule_uses_enumeration():
 
 def test_sweep_pow_rule_tracks_sqrt_rule():
     ns = [100, 400, 1600, 6400]
-    pow_reports = sweep(ns, DRule.power(0.5))
-    sqrt_reports = sweep(ns, DRule.sqrt_n_minus_1())
+    pow_reports = sweep(ns, DRule.parse("pow:0.5"))
+    sqrt_reports = sweep(ns, DRule.parse("sqrt-n-1"))
     for p, s in zip(pow_reports, sqrt_reports):
         assert abs(p.ratio_numeric - s.ratio_numeric) <= 5.0 / math.sqrt(p.n)
 
 
 def test_sweep_records_row_errors_and_continues():
-    reports = sweep([7, 18], DRule.const(4))  # odd n cannot be enumerated
+    reports = sweep([7, 18], DRule.parse("const:4"))  # odd n cannot be enumerated
     assert reports[0].error
     assert math.isnan(reports[0].ratio_numeric)
     assert not reports[1].error
@@ -127,7 +127,7 @@ def test_sweep_records_row_errors_and_continues():
 def test_sweep_unit_spacing_rows_leave_the_lp_empty():
     # at even n and d = 1 the closed LP form refuses (the LP optimum is 3n),
     # so the rows carry the refusal instead of a wrong lp_numeric
-    reports = sweep([4, 6, 8], DRule.const(1))
+    reports = sweep([4, 6, 8], DRule.parse("const:1"))
     for r in reports:
         assert math.isnan(r.lp_numeric) and math.isnan(r.lp_closed)
         assert math.isnan(r.lp_closed_variant) and math.isnan(r.ratio_numeric)
@@ -148,21 +148,20 @@ def test_ratio_exact_where_the_closed_lp_form_refuses():
 
 
 def test_sweep_csv_layout():
-    text = sweep_csv(sweep([18, 20], DRule.sqrt_n_minus_1()))
+    text = sweep_csv(sweep([18, 20], DRule.parse("sqrt-n-1")))
     lines = text.strip().splitlines()
-    header = lines[0].split(",")
-    assert header[:10] == ["n", "d", "lp_numeric", "lp_closed", "tour_numeric",
-                           "tour_closed", "ratio_numeric", "ratio_closed",
-                           "backend_lp", "backend_tour"]
-    assert "lp_closed_variant" in header and "ratio_closed_variant" in header
+    # RatioReport's field order is the schema; pin it
+    assert lines[0] == ("n,d,lp_numeric,lp_closed,tour_numeric,tour_closed,ratio_numeric,"
+                        "ratio_closed,backend_lp,backend_tour,lp_closed_variant,"
+                        "ratio_closed_variant,error")
     assert len(lines) == 3
     assert lines[1].startswith("18,")
 
 
 def test_const_sweep_csv_matches_full_enumeration(monkeypatch):
-    got = sweep_csv(sweep(range(18, 2001, 2), DRule.const(4)))
+    got = sweep_csv(sweep(range(18, 2001, 2), DRule.parse("const:4")))
     monkeypatch.setattr(gline, "zvector_optimum", full_enumeration_optimum)
-    assert got == sweep_csv(sweep(range(18, 2001, 2), DRule.const(4)))
+    assert got == sweep_csv(sweep(range(18, 2001, 2), DRule.parse("const:4")))
 
 
 def test_drule_parsing():
@@ -170,14 +169,22 @@ def test_drule_parsing():
     assert DRule.parse("sqrt-half").d_of(34) == pytest.approx(4.0)
     assert DRule.parse("const:4").d_of(999) == 4.0
     assert DRule.parse("pow:0.5").d_of(256) == pytest.approx(16.0)
-    with pytest.raises(DomainError):
-        DRule.parse("cubic")
+    # --d and --d-rule share this grammar: each spelling of a rule is the same rule
+    for a, b in (("sqrt-n-1", "sqrt(n-1)"), ("sqrt-half", " sqrt( n/2 - 1 ) "),
+                 ("const:6.5", "6.5"), ("pow:0.5", "pow: 0.5")):
+        assert DRule.parse(a) == DRule.parse(b), (a, b)
+    assert DRule.parse("sqrt(n-1)").d_of(18) == math.sqrt(17)
+    assert DRule.parse("sqrt(n/2-1)").d_of(36) == math.sqrt(17)
+    assert DRule.parse("6.5").d_of(0) == 6.5
+    for bad in ("cubic", "two", "const:", "pow:x", ":4", "sqrt(n)"):
+        with pytest.raises(DomainError):
+            DRule.parse(bad)
 
 
 def test_sqrt_half_closed_form_is_exact_only_at_multiples_of_four():
     # the quoted variant tour form equals the enumerated optimum when 4 | n
     # and slightly understates it otherwise; the sweep reports both values
-    reports = {r.n: r for r in sweep([36, 38, 40, 42], DRule.sqrt_half())}
+    reports = {r.n: r for r in sweep([36, 38, 40, 42], DRule.parse("sqrt-half"))}
     for n in (36, 40):
         assert abs(reports[n].delta_tour) <= 1e-9
     for n in (38, 42):
@@ -209,15 +216,15 @@ def test_sweep_rows_are_ratio_exact_reports(rule):
 
 
 def test_closed_tour_forms_attach_by_n_and_d():
-    rows = {r.n: r for r in sweep([26, 34, 52], DRule.const(5))}
+    rows = {r.n: r for r in sweep([26, 34, 52], DRule.parse("const:5"))}
     assert rows[26].backend_tour == "closed_form"
     assert rows[26].tour_closed == rows[26].tour_numeric == 4 * 26 - 4 + 2 * 5
     assert rows[52].backend_tour == "zvector"
     assert rows[52].tour_closed == 4 * 52 - 6 + 2 * 5
     assert math.isnan(rows[34].tour_closed) and math.isnan(rows[34].ratio_closed)
 
-    const4 = sweep([34], DRule.const(4))[0]
-    half = sweep([34], DRule.sqrt_half())[0]
+    const4 = sweep([34], DRule.parse("const:4"))[0]
+    half = sweep([34], DRule.parse("sqrt-half"))[0]
     assert const4.tour_closed == 138
     for name in ("tour_closed", "ratio_closed", "ratio_closed_variant"):
         assert getattr(const4, name) == getattr(half, name)
