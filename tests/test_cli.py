@@ -7,6 +7,7 @@ import pytest
 from gaplab import exact
 from gaplab.cli import held_karp_cap, main, parse_range, run_verify
 from gaplab.instances import DomainError
+from gaplab.ratio import DRule
 
 
 def run(capsys, *argv):
@@ -194,6 +195,15 @@ def test_d_spellings_are_interchangeable(capsys):
     rows = [run(capsys, "sweep", "--n", "18:40:2", "--d-rule", rule)
             for rule in ("sqrt(n-1)", "sqrt-n-1")]
     assert rows[0] == rows[1] and rows[0][0] == 0
+
+
+def test_parse_d_forms():
+    # --d values go through the same grammar as --d-rule
+    assert DRule.parse("sqrt(n-1)").d_of(18) == pytest.approx(math.sqrt(17))
+    assert DRule.parse("sqrt(n/2-1)").d_of(36) == pytest.approx(math.sqrt(17))
+    assert DRule.parse("6.5").d_of(0) == 6.5
+    with pytest.raises(DomainError):
+        DRule.parse("two")
 
 
 def test_parse_range_forms():

@@ -173,9 +173,6 @@ def test_drule_parsing():
     for a, b in (("sqrt-n-1", "sqrt(n-1)"), ("sqrt-half", " sqrt( n/2 - 1 ) "),
                  ("const:6.5", "6.5"), ("pow:0.5", "pow: 0.5")):
         assert DRule.parse(a) == DRule.parse(b), (a, b)
-    assert DRule.parse("sqrt(n-1)").d_of(18) == math.sqrt(17)
-    assert DRule.parse("sqrt(n/2-1)").d_of(36) == math.sqrt(17)
-    assert DRule.parse("6.5").d_of(0) == 6.5
     for bad in ("cubic", "two", "const:", "pow:x", ":4", "sqrt(n)"):
         with pytest.raises(DomainError):
             DRule.parse(bad)
