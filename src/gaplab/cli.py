@@ -129,7 +129,7 @@ def cmd_sweep(args) -> int:
 
 # -- verify ------------------------------------------------------------------------
 
-def run_verify(hk_cap: int, lp_constant_offset: float = 0.0):
+def run_verify(hk_cap: int):
     """The invariant suite: (name, status, detail) per check, status one of
     'PASS', 'FAIL', 'SKIP'.  Checks whose instance sizes exceed the
     Held-Karp cap are skipped, not failed.  A check that raises is recorded
@@ -180,7 +180,7 @@ def run_verify(hk_cap: int, lp_constant_offset: float = 0.0):
     def lp_matches_closed_form():
         inst = generate(InstanceSpec(n=6, d=3.0))
         state["x"], _ = subtour.solve_subtour_lp(inst)
-        closed = subtour.closed_form_lp_value(6, 3.0) + lp_constant_offset
+        closed = subtour.closed_form_lp_value(6, 3.0)
         return (abs(state["x"].objective_value - closed) <= 1e-5,
                 f"lp={fmt12(state['x'].objective_value)} closed={fmt12(closed)}")
     record("cutting-plane LP matches closed form on G(6,3)", lp_matches_closed_form)
@@ -205,7 +205,7 @@ def run_verify(hk_cap: int, lp_constant_offset: float = 0.0):
     record("LP optimum does not exceed the witness value", witness_dominates)
 
     def witness_closed_form():
-        want = subtour.closed_form_lp_value(8, 4.0) + lp_constant_offset
+        want = subtour.closed_form_lp_value(8, 4.0)
         return abs(state["witness"].objective_value - want) <= 1e-9
     record("witness value matches its closed form", witness_closed_form)
 
@@ -219,8 +219,7 @@ def run_verify(hk_cap: int, lp_constant_offset: float = 0.0):
 
 
 def cmd_verify(args) -> int:
-    checks = run_verify(held_karp_cap(args.held_karp_cap),
-                        lp_constant_offset=args.corrupt_lp_constant)
+    checks = run_verify(held_karp_cap(args.held_karp_cap))
     width = max(len(name) for name, _, _ in checks)
     for name, status, detail in checks:
         print(f"{status:<4} {name:<{width}}  {detail}".rstrip())
@@ -266,8 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the invariant suite")
     verify.add_argument("--held-karp-cap", type=int, default=None)
-    verify.add_argument("--corrupt-lp-constant", type=float, default=0.0,
-                        help=argparse.SUPPRESS)  # test hook: negative control
     verify.set_defaults(func=cmd_verify)
     return parser
 

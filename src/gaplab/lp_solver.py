@@ -1,22 +1,20 @@
 """Sparse bounded-variable linear programming via revised simplex.
 
-Self-contained two-phase solver for the LPs produced by the cutting-plane
-engine.  Rows are sparse: each is a (column indices, values, rhs) triple,
-and the structural part of the constraint matrix is stored by columns
+Self-contained solver for the LPs produced by the cutting-plane engine.
+Rows are sparse: each is a (column indices, values, rhs) triple, and the
+structural part of the constraint matrix is stored by columns
 (compressed sparse column arrays), so pricing, the entering column and
 matrix-vector products cost O(nonzeros) rather than O(rows x columns).
 Only the basis matrix and its inverse are dense (rows x rows).
 
 Every row (equality or <=) receives an internal slack column; the slacks
 form an identity block that is never stored.  Equality slacks are fixed
-at zero, so the all-slack basis always exists and phase 1 reduces to
-driving the bound violations of the working basis to zero.  This uniform
-treatment makes warm starts after appending rows trivial: reuse the
-previous basis plus the new slacks and let phase 1 repair the (few)
+at zero, so the all-slack basis always exists.  One pivot loop runs both
+phases: phase 1 prices a cost that drives the bound violations of the
+basics to zero, phase 2 prices the objective.  A warm start is the
+LpSolution of the same LP before rows were appended: its basis is
+reused, the new rows' slacks join it, and phase 1 repairs the (few)
 violated rows.
-
-Tolerances below are the single source of truth; the subtour module
-imports them rather than restating values.
 """
 from __future__ import annotations
 
@@ -110,8 +108,8 @@ class LpSolution:
     status: LpStatus
     values: np.ndarray        # structural variables (clipped into bounds)
     objective_value: float    # NaN unless OPTIMAL
-    basis: np.ndarray         # internal column indices, reusable as a warm start
-    at_upper: np.ndarray      # nonbasic-at-upper flags over internal columns
+    basis: np.ndarray         # final basis, one column per row; solve(..., start=) reuses it
+    at_upper: np.ndarray      # which nonbasic columns sit at their upper bound
     pivots: int
 
 
@@ -127,30 +125,45 @@ class _Simplex:
     is the identity and is never stored.
     """
 
-    def __init__(self, c, indptr, rowind, data, b, lb, ub, nv):
-        self.c = c
-        self.indptr = indptr
-        self.rowind = rowind
-        self.data = data
-        self.nzcol = np.repeat(np.arange(nv), np.diff(indptr))
-        self.b = b
-        self.lb = lb
-        self.ub = ub
-        self.nv = nv
-        self.m = len(b)
-        self.ncols = nv + self.m
+    def __init__(self, lp: SparseLp):
+        bounds = lp.validate()
+        nv = lp.n_vars
+        rows = list(lp.eq_rows) + list(lp.ineq_rows)
+        m = len(rows)
+        counts = np.array([len(cols) for cols, _vals, _rhs in rows], dtype=np.intp)
+        # the leading empty arrays let an LP without rows through np.concatenate
+        cols = np.concatenate([np.zeros(0, np.intp), *(c for c, _v, _r in rows)]).astype(np.intp)
+        vals = np.concatenate([np.zeros(0), *(v for _c, v, _r in rows)]).astype(float)
+        # column-major order; the stable sort keeps each column's rows ascending
+        order = np.argsort(cols, kind="stable")
+        self.nzcol = cols[order]
+        self.rowind = np.repeat(np.arange(m), counts)[order]
+        self.data = vals[order]
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=nv))])
+        self.b = np.array([rhs for _c, _v, rhs in rows], dtype=float)
+        self.lb = np.concatenate([bounds[:, 0], np.zeros(m)])
+        # equality slacks stay fixed at 0, inequality slacks are unbounded above
+        self.ub = np.concatenate([bounds[:, 1], np.zeros(len(lp.eq_rows)),
+                                  np.full(len(lp.ineq_rows), np.inf)])
+        self.c = np.concatenate([np.asarray(lp.objective, dtype=float), np.zeros(m)])
+        self.nv, self.m, self.ncols = nv, m, nv + m
         self.pivots = 0
         # fixed columns (lb == ub, i.e. equality slacks) never enter the basis
-        self.fixed = ub - lb <= 0
+        self.fixed = self.ub - self.lb <= 0
 
-    def load_basis(self, basis: np.ndarray, at_upper: np.ndarray | None = None):
-        self.basis = np.array(basis, dtype=int)
-        if len(self.basis) != self.m:
-            raise LpDimensionError(f"basis of size {len(self.basis)} for {self.m} rows")
+    def load_basis(self, start: LpSolution | None):
+        """The all-slack basis, or start's basis followed by the slacks of
+        the rows appended since start was solved."""
+        self.basis = np.arange(self.nv, self.ncols)
         self.at_upper = np.zeros(self.ncols, dtype=bool)
-        if at_upper is not None:
-            self.at_upper[: len(at_upper)] = at_upper
-        self.at_upper[~np.isfinite(self.ub)] = False
+        if start is not None:
+            k = len(start.basis)
+            if k > self.m or len(start.at_upper) != self.nv + k:
+                raise LpDimensionError(
+                    f"start has {k} rows and {len(start.at_upper) - k} variables; "
+                    f"the LP has {self.m} rows and {self.nv} variables")
+            self.basis[:k] = start.basis
+            self.at_upper[: self.nv + k] = start.at_upper
         self.is_basic = np.zeros(self.ncols, dtype=bool)
         self.is_basic[self.basis] = True
         self.refactor()
@@ -196,20 +209,14 @@ class _Simplex:
         return B
 
     def refactor(self):
-        B = self.basis_matrix()
+        """Invert the basis matrix afresh and recompute the basics from it."""
         try:
-            self.Binv = np.linalg.inv(B)
+            self.Binv = np.linalg.inv(self.basis_matrix())
         except np.linalg.LinAlgError as exc:
             raise LpDimensionError("singular basis matrix") from exc
-        self.recompute_xb()
-
-    def recompute_xb(self):
         x = np.where(self.at_upper, self.ub, self.lb)
         x[self.basis] = 0.0
         self.xB = self.Binv @ (self.b - self.times(x))
-
-    def nonbasic_value(self, j: int) -> float:
-        return self.ub[j] if self.at_upper[j] else self.lb[j]
 
     def full_values(self) -> np.ndarray:
         x = np.where(self.at_upper, self.ub, self.lb)
@@ -231,14 +238,15 @@ class _Simplex:
         sigma = 1 if rising[q] else -1
         return q, sigma
 
-    def _ratio_test(self, u: np.ndarray, sigma: int, q: int, phase1: bool):
+    def _ratio_test(self, u: np.ndarray, sigma: int, q: int, below: np.ndarray,
+                    above: np.ndarray):
         """First blocking event moving the entering column by t*sigma, t >= 0.
 
-        Basics move along delta = -sigma*u.  In phase 1 an out-of-bounds
-        basic blocks when it reaches its violated bound (turning feasible);
-        feasible basics always block at the bound they approach.  Returns
-        (t, row, leave_at_upper); row == _BOUND_FLIP flips the entering
-        variable to its other bound.
+        Basics move along delta = -sigma*u.  A basic below its lower bound
+        (above its upper) blocks when it reaches that bound, turning
+        feasible; the other basics always block at the bound they
+        approach.  Returns (t, row, leave_at_upper); row == _BOUND_FLIP
+        flips the entering variable to its other bound.
         """
         delta = -sigma * u
         xB = self.xB
@@ -246,12 +254,6 @@ class _Simplex:
         ubB = self.ub[self.basis]
         t = np.full(self.m, np.inf)
         leave_upper = np.zeros(self.m, dtype=bool)
-
-        if phase1:
-            below = xB < lbB - FEASIBILITY_TOL
-            above = xB > ubB + FEASIBILITY_TOL
-        else:
-            below = above = np.zeros(self.m, dtype=bool)
         feas = ~(below | above)
 
         dn = delta < -PIVOT_TOL
@@ -283,7 +285,9 @@ class _Simplex:
 
     def _apply_pivot(self, q: int, sigma: int, t: float, r: int, leave_at_upper: bool,
                      u: np.ndarray):
-        enter_val = self.nonbasic_value(q) + sigma * t
+        """Move column q by t*sigma; row r's basic leaves (|u[r]| > PIVOT_TOL
+        by the ratio test) unless r is _BOUND_FLIP."""
+        enter_val = (self.ub[q] if self.at_upper[q] else self.lb[q]) + sigma * t
         self.xB += t * (-sigma) * u
         if r == _BOUND_FLIP:
             self.at_upper[q] = not self.at_upper[q]
@@ -294,48 +298,49 @@ class _Simplex:
         self.basis[r] = q
         self.is_basic[q] = True
         self.xB[r] = enter_val
-        ur = u[r]
-        if abs(ur) < PIVOT_TOL:
-            self.refactor()
-            return
         # product-form update of the inverse
-        row_r = self.Binv[r] / ur
+        row_r = self.Binv[r] / u[r]
         self.Binv -= np.outer(u, row_r)
         self.Binv[r] = row_r
         self.pivots += 1
         if self.pivots % REFRESH_EVERY == 0:
             self.refactor()
 
-    # -- phases ---------------------------------------------------------------
+    def run(self, max_pivots: int) -> LpStatus:
+        """Pivot to a verdict: phase 1 while a basic is out of bounds, then
+        phase 2 to the end.
 
-    def infeasibility_signs(self) -> np.ndarray:
-        lbB = self.lb[self.basis]
-        ubB = self.ub[self.basis]
-        w = np.zeros(self.m)
-        w[self.xB > ubB + FEASIBILITY_TOL] = 1.0
-        w[self.xB < lbB - FEASIBILITY_TOL] = -1.0
-        return w
-
-    def phase1(self, max_pivots: int) -> bool:
-        """Drive bound violations of the basics to zero.  False = infeasible."""
-        stall = 0
+        Phase 1 is phase 2 with the cost w: +1 on basics above their bound,
+        -1 on basics below it, 0 elsewhere.  When no column is eligible to
+        enter, the LP is INFEASIBLE in phase 1 and OPTIMAL in phase 2.
+        """
+        phase, stall = 1, 0
         while True:
-            w = self.infeasibility_signs()
-            if not w.any():
-                return True
+            if phase == 1:
+                below = self.xB < self.lb[self.basis] - FEASIBILITY_TOL
+                above = self.xB > self.ub[self.basis] + FEASIBILITY_TOL
+                if not (below.any() or above.any()):
+                    phase = 2  # both masks stay all False from here on
             if self.pivots > max_pivots:
-                raise LpIterationLimit(1, self.pivots)
-            y = w @ self.Binv
-            d = self.price(y)
-            rising = ~self.at_upper & (d > REDUCED_COST_TOL)
-            falling = self.at_upper & (d < -REDUCED_COST_TOL)
+                raise LpIterationLimit(phase, self.pivots)
+            if phase == 1:
+                cost = np.zeros(self.ncols)
+                cost[self.basis[above]] = 1.0
+                cost[self.basis[below]] = -1.0
+            else:
+                cost = self.c
+            d = cost - self.price(cost[self.basis] @ self.Binv)
+            rising = ~self.at_upper & (d < -REDUCED_COST_TOL)
+            falling = self.at_upper & (d > REDUCED_COST_TOL)
             choice = self._choose_entering(d, rising, falling)
             if choice is None:
-                return False
+                return LpStatus.INFEASIBLE if phase == 1 else LpStatus.OPTIMAL
             q, sigma = choice
             u = self.entering_column(q)
-            t, r, leave_up = self._ratio_test(u, sigma, q, phase1=True)
+            t, r, leave_up = self._ratio_test(u, sigma, q, below, above)
             if not np.isfinite(t):
+                if phase == 2:
+                    return LpStatus.UNBOUNDED
                 # cannot happen in exact arithmetic while infeasible; re-anchor
                 stall += 1
                 self.refactor()
@@ -343,24 +348,6 @@ class _Simplex:
                     raise LpIterationLimit(1, self.pivots)
                 continue
             stall = 0
-            self._apply_pivot(q, sigma, t, r, leave_up, u)
-
-    def phase2(self, max_pivots: int) -> LpStatus:
-        while True:
-            if self.pivots > max_pivots:
-                raise LpIterationLimit(2, self.pivots)
-            y = self.c[self.basis] @ self.Binv
-            d = self.c - self.price(y)
-            rising = ~self.at_upper & (d < -REDUCED_COST_TOL)
-            falling = self.at_upper & (d > REDUCED_COST_TOL)
-            choice = self._choose_entering(d, rising, falling)
-            if choice is None:
-                return LpStatus.OPTIMAL
-            q, sigma = choice
-            u = self.entering_column(q)
-            t, r, leave_up = self._ratio_test(u, sigma, q, phase1=False)
-            if not np.isfinite(t):
-                return LpStatus.UNBOUNDED
             self._apply_pivot(q, sigma, t, r, leave_up, u)
 
     def residual(self) -> float:
@@ -371,64 +358,31 @@ class _Simplex:
         return max(res, lo, hi)
 
 
-def _standardize(lp: SparseLp):
-    bounds = lp.validate()
-    nv = lp.n_vars
-    rows = list(lp.eq_rows) + list(lp.ineq_rows)
-    me, m = len(lp.eq_rows), len(rows)
-    counts = np.array([len(cols) for cols, _vals, _rhs in rows], dtype=np.intp)
-    # the leading empty arrays let an LP without rows through np.concatenate
-    cols = np.concatenate([np.zeros(0, np.intp), *(c for c, _v, _r in rows)]).astype(np.intp)
-    vals = np.concatenate([np.zeros(0), *(v for _c, v, _r in rows)]).astype(float)
-    # column-major order; the stable sort keeps each column's rows ascending
-    order = np.argsort(cols, kind="stable")
-    rowind = np.repeat(np.arange(m), counts)[order]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=nv))])
-    b = np.array([rhs for _c, _v, rhs in rows], dtype=float)
-    lb = np.zeros(nv + m)
-    ub = np.zeros(nv + m)
-    lb[:nv] = bounds[:, 0]
-    ub[:nv] = bounds[:, 1]
-    ub[nv + me:] = np.inf  # inequality slacks; equality slacks stay fixed at 0
-    c = np.zeros(nv + m)
-    c[:nv] = np.asarray(lp.objective, dtype=float)
-    return c, (indptr, rowind, vals[order]), b, lb, ub, nv, m
-
-
-def solve(lp: SparseLp, start: tuple[np.ndarray, np.ndarray] | None = None,
+def solve(lp: SparseLp, start: LpSolution | None = None,
           max_pivots: int | None = None) -> LpSolution:
-    """Solve a SparseLp.  ``start`` is an optional (basis, at_upper) warm start
-    as returned in a previous LpSolution; after appending rows, extend the
-    basis with the new rows' slack columns.
+    """Solve a SparseLp.  ``start`` is an optional warm start: the
+    LpSolution of this LP before rows were appended to the end of its row
+    list (eq_rows, then ineq_rows).  A start with more rows than the LP,
+    or another variable count, raises LpDimensionError.
     """
-    c, (indptr, rowind, data), b, lb, ub, nv, m = _standardize(lp)
-    ws = _Simplex(c, indptr, rowind, data, b, lb, ub, nv)
+    ws = _Simplex(lp)
     if max_pivots is None:
-        max_pivots = 2000 + 40 * (m + nv)
-    if start is None:
-        ws.load_basis(np.arange(nv, nv + m))
-    else:
-        ws.load_basis(np.asarray(start[0], dtype=int), np.asarray(start[1], dtype=bool))
-
-    if not ws.phase1(max_pivots):
-        return LpSolution(LpStatus.INFEASIBLE, ws.full_values()[:nv], float("nan"),
-                          ws.basis.copy(), ws.at_upper.copy(), ws.pivots)
-    status = ws.phase2(max_pivots)
+        max_pivots = 2000 + 40 * ws.ncols
+    ws.load_basis(start)
+    status = ws.run(max_pivots)
     if status is LpStatus.OPTIMAL:
         # hygiene: refresh the factorization and re-verify; repair if drifted
         for _ in range(3):
             ws.refactor()
             if ws.residual() <= FEASIBILITY_TOL:
                 break
-            if not ws.phase1(max_pivots):
-                return LpSolution(LpStatus.INFEASIBLE, ws.full_values()[:nv], float("nan"),
-                                  ws.basis.copy(), ws.at_upper.copy(), ws.pivots)
-            status = ws.phase2(max_pivots)
+            status = ws.run(max_pivots)
+            if status is LpStatus.INFEASIBLE:
+                break
 
-    values = ws.full_values()[:nv]
+    values = ws.full_values()[: ws.nv]
+    obj = float("nan")
     if status is LpStatus.OPTIMAL:
-        values = np.clip(values, lb[:nv], ub[:nv])
-        obj = float(c[:nv] @ values)
-    else:
-        obj = float("nan")
+        values = np.clip(values, ws.lb[: ws.nv], ws.ub[: ws.nv])
+        obj = float(ws.c[: ws.nv] @ values)
     return LpSolution(status, values, obj, ws.basis.copy(), ws.at_upper.copy(), ws.pivots)

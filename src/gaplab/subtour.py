@@ -157,24 +157,25 @@ def stoer_wagner(W: np.ndarray, collect_below: float | None = None):
     return best_value, best_side, harvested
 
 
-def _violated_sets(W: np.ndarray, tol: float) -> list[tuple[frozenset[int], float]]:
+def _violated_sets(W: np.ndarray) -> list[tuple[frozenset[int], float]]:
     """All violated subsets one separation round can see, most violated first.
 
     A disconnected support graph yields its connected components (cut
-    value zero); otherwise the Stoer-Wagner phase cuts below 2 - tol.
+    value zero); otherwise the Stoer-Wagner phase cuts below 2 - SEPARATION_TOL.
     """
     comps = connected_components(W > SUPPORT_EPS)
     if len(comps) > 1:
         return [(frozenset(c), 0.0) for c in comps]
-    _best, _side, harvested = stoer_wagner(W, collect_below=2.0 - tol)
+    _best, _side, harvested = stoer_wagner(W, collect_below=2.0 - SEPARATION_TOL)
     found = [(S, v) for S, v in harvested.items() if 0 < len(S) < len(W)]
     found.sort(key=lambda sv: (sv[1], len(sv[0]), sorted(sv[0])))
     return found
 
 
-def separate(x: EdgeValueMap, tol: float = SEPARATION_TOL) -> frozenset[int] | None:
-    """A most violated subset (cut value below 2 - tol), or None if none exists."""
-    found = _violated_sets(x.as_matrix(), tol)
+def separate(x: EdgeValueMap) -> frozenset[int] | None:
+    """A most violated subset (cut value below 2 - SEPARATION_TOL), or None
+    if none exists."""
+    found = _violated_sets(x.as_matrix())
     return found[0][0] if found else None
 
 
@@ -188,11 +189,11 @@ def _subset_row(S, I: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return cols, np.ones(len(cols)), float(len(S) - 1)
 
 
-def solve_subtour_lp(obj, tol: float = SEPARATION_TOL) -> tuple[EdgeValueMap, list[CutRecord]]:
+def solve_subtour_lp(obj) -> tuple[EdgeValueMap, list[CutRecord]]:
     """Exact subtour-LP optimum of an Instance or raw (N, 2) point array.
 
     Returns the last round's edge values, in which separation found no
-    violated subset above ``tol``, together with the cuts added on the way.
+    violated subset, together with the cuts added on the way.
     """
     coords, p = coerce_points(obj)
     n = len(coords)
@@ -201,18 +202,17 @@ def solve_subtour_lp(obj, tol: float = SEPARATION_TOL) -> tuple[EdgeValueMap, li
     dist = pairwise_distances(coords, p)
     I, J = edge_endpoints(n)
     costs = dist[I, J]
-    n_edges = len(costs)
 
     deg_rows = []
     for v in range(n):
         cols = np.flatnonzero((I == v) | (J == v))
         deg_rows.append((cols, np.ones(len(cols)), 2.0))
 
-    bounds = np.tile([0.0, 1.0], (n_edges, 1))
+    bounds = np.tile([0.0, 1.0], (len(costs), 1))
     cut_rows = []
     seen: set[frozenset[int]] = set()
     records: list[CutRecord] = []
-    warm = None
+    sol = None  # each round warm-starts from the previous round's solution
 
     for _round in range(CUT_ROUND_FACTOR * n):
         lp = SparseLp(
@@ -221,11 +221,11 @@ def solve_subtour_lp(obj, tol: float = SEPARATION_TOL) -> tuple[EdgeValueMap, li
             ineq_rows=list(cut_rows),
             var_bounds=bounds,
         )
-        sol = lp_solver.solve(lp, start=warm)
+        sol = lp_solver.solve(lp, start=sol)
         if sol.status is not LpStatus.OPTIMAL:
             raise SubtourSolveError(f"subtour LP solve returned {sol.status.value}")
         x = EdgeValueMap(n, I, J, sol.values, sol.objective_value)
-        violated = _violated_sets(x.as_matrix(), tol)
+        violated = _violated_sets(x.as_matrix())
         if not violated:
             return x, records
         new = [(S, v) for S, v in violated if S not in seen]
@@ -234,15 +234,10 @@ def solve_subtour_lp(obj, tol: float = SEPARATION_TOL) -> tuple[EdgeValueMap, li
             # the LP tolerance, so this is a numerical stall, not convergence
             raise SubtourSolveError(
                 f"separation keeps returning already-added cuts ({len(violated)} duplicates)")
-        m_old = n + len(cut_rows)
         for S, cut_value in new:
             seen.add(S)
             cut_rows.append(_subset_row(S, I, J))
             records.append(CutRecord(subset=S, violation=2.0 - cut_value))
-        warm = (
-            np.concatenate([sol.basis, n_edges + m_old + np.arange(len(new))]),
-            sol.at_upper,
-        )
     raise CutRoundLimitError(
         f"no cut-free solution after {CUT_ROUND_FACTOR * n} rounds "
         f"({len(cut_rows)} cuts added)")

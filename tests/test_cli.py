@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from gaplab import exact
+from gaplab import exact, subtour
 from gaplab.cli import held_karp_cap, main, parse_range, run_verify
 from gaplab.instances import DomainError
 from gaplab.ratio import DRule
@@ -152,10 +152,16 @@ def test_verify_with_small_cap_skips_but_passes(capsys):
     assert "0 failed" in out
 
 
-def test_verify_corrupted_constant_fails_loudly(capsys):
-    code, out, _ = run(capsys, "verify", "--corrupt-lp-constant", "0.25")
+def test_verify_corrupted_constant_fails_loudly(monkeypatch, capsys):
+    true_value = subtour.closed_form_lp_value
+    monkeypatch.setattr(subtour, "closed_form_lp_value", lambda n, d: true_value(n, d) + 0.25)
+    code, out, _ = run(capsys, "verify")
     assert code == 1
-    assert "FAIL" in out
+    failed = [line[5:].split("  ")[0].rstrip() for line in out.splitlines()
+              if line.startswith("FAIL ")]
+    assert failed == ["cutting-plane LP matches closed form on G(6,3)",
+                      "witness value matches its closed form"]
+    assert out.splitlines()[-1] == "12 passed, 2 failed, 0 skipped"
 
 
 def test_hk_cap_env_override(monkeypatch, capsys):

@@ -128,11 +128,23 @@ def test_variable_in_no_row_goes_to_its_cost_optimal_bound():
 
 
 def test_iteration_limit_is_not_infeasible():
+    # one equality row: phase 1 makes it feasible in one pivot, and phase 2
+    # then finds the budget spent
     lp = SparseLp(objective=np.array([-1.0, -1.0]),
                   eq_rows=[sparse_row([1.0, 1.0], 1.0)],
                   var_bounds=bounds(2))
-    with pytest.raises(LpIterationLimit):
+    with pytest.raises(LpIterationLimit) as raised:
         solve(lp, max_pivots=0)
+    assert (raised.value.phase, raised.value.pivots) == (2, 1)
+    # two disjoint equality rows need two phase-1 pivots (a right-hand side
+    # of 1 would be met by bound flips, which are not pivots)
+    lp = SparseLp(objective=np.array([1.0, 1.0]),
+                  eq_rows=[sparse_row([1.0, 0.0], 0.5), sparse_row([0.0, 1.0], 0.5)],
+                  var_bounds=bounds(2))
+    with pytest.raises(LpIterationLimit) as raised:
+        solve(lp, max_pivots=0)
+    assert (raised.value.phase, raised.value.pivots) == (1, 1)
+    assert solve(lp).status is LpStatus.OPTIMAL
 
 
 def random_feasible_lp(rng, nv, me, mi):
@@ -177,17 +189,24 @@ def test_warm_start_after_adding_rows(rng):
     lp = random_feasible_lp(rng, 8, me=2, mi=2)
     first = solve(lp)
     assert first.status is LpStatus.OPTIMAL
-    # append two more inequality rows, warm start from the previous basis
-    extra = [(rng.normal(size=8), 0.0), (rng.normal(size=8), 0.0)]
+    # a start from the same LP, no rows appended, is already optimal
+    again = solve(lp, start=first)
+    assert again.status is LpStatus.OPTIMAL and again.pivots == 0
+    assert again.objective_value == pytest.approx(first.objective_value, abs=1e-12)
+    # append two more inequality rows, warm start from the previous solution
+    extra = [rng.normal(size=8), rng.normal(size=8)]
     x0 = first.values
-    lp.ineq_rows = lp.ineq_rows + [sparse_row(row, row @ x0 - 0.1) for row, _ in extra]
-    m_old = len(lp.eq_rows) + len(lp.ineq_rows) - 2
-    warm_basis = np.concatenate([first.basis, 8 + m_old + np.arange(2)])
-    warm = solve(lp, start=(warm_basis, first.at_upper))
-    cold = solve(lp)
+    grown = SparseLp(objective=lp.objective, eq_rows=lp.eq_rows,
+                     ineq_rows=lp.ineq_rows + [sparse_row(row, row @ x0 - 0.1) for row in extra],
+                     var_bounds=lp.var_bounds)
+    warm = solve(grown, start=first)
+    cold = solve(grown)
     assert warm.status is cold.status is LpStatus.OPTIMAL
     assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
-    replay_feasibility(lp, warm)
+    replay_feasibility(grown, warm)
+    # a start with more rows than the LP has no meaning for it
+    with pytest.raises(LpDimensionError, match="start has 6 rows"):
+        solve(lp, start=warm)
 
 
 def test_determinism(rng):

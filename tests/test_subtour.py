@@ -425,6 +425,25 @@ def test_solve_subtour_lp_deterministic(rng):
     assert [c.subset for c in cuts1] == [c.subset for c in cuts2]
 
 
+def test_cutting_plane_pivot_path_on_g18(monkeypatch):
+    # pins the pivot path: a solver change that keeps every value but pivots
+    # differently shows up here (155 = 60 cold + 95 warm-started pivots)
+    import gaplab.subtour as sub
+    solve_lp, calls = sub.lp_solver.solve, []
+
+    def counting_solve(lp, start=None, **kwargs):
+        sol = solve_lp(lp, start=start, **kwargs)
+        calls.append((start, sol))
+        return sol
+    monkeypatch.setattr(sub.lp_solver, "solve", counting_solve)
+    x, cuts = solve_subtour_lp(gline_instance(18, math.sqrt(17)))
+    assert sum(sol.pivots for _start, sol in calls) == 155
+    assert len(calls) == 2 and calls[0][0] is None and calls[1][0] is calls[0][1]
+    # the three cuts are the three rows of the grid
+    assert sorted(sorted(c.subset) for c in cuts) == [list(range(k, k + 18)) for k in (0, 18, 36)]
+    assert x.objective_value == pytest.approx(closed_form_lp_value(18, math.sqrt(17)), abs=1e-7)
+
+
 def test_solve_subtour_lp_builds_no_dense_row_by_edge_matrix():
     # one dense (points x edges) float64 matrix takes 8 * points * edges
     # bytes; sparse rows and the (rows x rows) basis inverse stay well below
