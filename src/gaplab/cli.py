@@ -18,7 +18,7 @@ import numpy as np
 
 from . import exact, gline, ratio, subtour
 from .instances import INF, DomainError, InstanceSpec, export, generate
-from .lp_solver import LpIterationLimit
+from .lp_solver import LpIterationLimit, LpNumericalError
 from .ratio import DRule, LpBackend, TourBackend
 
 HK_CAP_ENV = "GAPLAB_HK_CAP"
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # DomainError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (subtour.SubtourSolveError, LpIterationLimit, OSError) as exc:
+    except (subtour.SubtourSolveError, LpIterationLimit, LpNumericalError, OSError) as exc:
         print(f"internal failure: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # the CLI reports, it does not traceback

@@ -15,6 +15,10 @@ basics to zero, phase 2 prices the objective.  A warm start is the
 LpSolution of the same LP before rows were appended: its basis is
 reused, the new rows' slacks join it, and phase 1 repairs the (few)
 violated rows.
+
+Objective entries, row values and right-hand sides must be finite.
+OPTIMAL means the basics, recomputed from a fresh inverse, passed the
+residual check; LpNumericalError means three repair rounds did not.
 """
 from __future__ import annotations
 
@@ -37,7 +41,11 @@ class LpStatus(Enum):
 
 
 class LpDimensionError(ValueError):
-    """Row, bound vector or basis inconsistent with the variable count."""
+    """Rows, bounds or a basis that do not fit the variable count, or non-finite data."""
+
+
+class LpNumericalError(RuntimeError):
+    """The basics of an optimal basis kept failing the residual check."""
 
 
 class LpIterationLimit(RuntimeError):
@@ -125,7 +133,7 @@ class _Simplex:
     is the identity and is never stored.
     """
 
-    def __init__(self, lp: SparseLp):
+    def __init__(self, lp: SparseLp, start: LpSolution | None = None):
         bounds = lp.validate()
         nv = lp.n_vars
         rows = list(lp.eq_rows) + list(lp.ineq_rows)
@@ -140,20 +148,20 @@ class _Simplex:
         self.rowind = np.repeat(np.arange(m), counts)[order]
         self.data = vals[order]
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=nv))])
+        del cols, vals, order  # the unsorted copies must not live through the first refactor
         self.b = np.array([rhs for _c, _v, rhs in rows], dtype=float)
         self.lb = np.concatenate([bounds[:, 0], np.zeros(m)])
         # equality slacks stay fixed at 0, inequality slacks are unbounded above
         self.ub = np.concatenate([bounds[:, 1], np.zeros(len(lp.eq_rows)),
                                   np.full(len(lp.ineq_rows), np.inf)])
         self.c = np.concatenate([np.asarray(lp.objective, dtype=float), np.zeros(m)])
+        if not all(np.isfinite(a).all() for a in (self.data, self.b, self.c)):
+            raise LpDimensionError("objective, row values and right-hand sides must be finite")
         self.nv, self.m, self.ncols = nv, m, nv + m
         self.pivots = 0
         # fixed columns (lb == ub, i.e. equality slacks) never enter the basis
         self.fixed = self.ub - self.lb <= 0
-
-    def load_basis(self, start: LpSolution | None):
-        """The all-slack basis, or start's basis followed by the slacks of
-        the rows appended since start was solved."""
+        # the all-slack basis, or start's basis and the slacks of the rows appended since
         self.basis = np.arange(self.nv, self.ncols)
         self.at_upper = np.zeros(self.ncols, dtype=bool)
         if start is not None:
@@ -225,63 +233,47 @@ class _Simplex:
 
     # -- pivoting -----------------------------------------------------------
 
-    def _choose_entering(self, d: np.ndarray, rising: np.ndarray, falling: np.ndarray):
-        """Dantzig rule on |d| among eligible columns; Bland after the cap."""
+    def _choose_entering(self, d: np.ndarray):
+        """(q, sigma): Dantzig rule on |d| among the columns d improves by
+        raising (sigma = 1) or lowering (-1); Bland after the cap."""
+        rising = ~self.at_upper & (d < -REDUCED_COST_TOL)
+        falling = self.at_upper & (d > REDUCED_COST_TOL)
         eligible = (rising | falling) & ~self.is_basic & ~self.fixed
         idx = np.flatnonzero(eligible)
         if idx.size == 0:
             return None
-        if self.pivots >= BLAND_AFTER:
-            q = int(idx[0])
-        else:
-            q = int(idx[np.argmax(np.abs(d[idx]))])
-        sigma = 1 if rising[q] else -1
-        return q, sigma
+        q = int(idx[0] if self.pivots >= BLAND_AFTER else idx[np.argmax(np.abs(d[idx]))])
+        return q, 1 if rising[q] else -1
 
     def _ratio_test(self, u: np.ndarray, sigma: int, q: int, below: np.ndarray,
                     above: np.ndarray):
         """First blocking event moving the entering column by t*sigma, t >= 0.
 
-        Basics move along delta = -sigma*u.  A basic below its lower bound
-        (above its upper) blocks when it reaches that bound, turning
-        feasible; the other basics always block at the bound they
-        approach.  Returns (t, row, leave_at_upper); row == _BOUND_FLIP
+        Basics move along delta = -sigma*u.  Each has one target bound, the
+        one it violates, else the one it approaches, and blocks at
+        t = (target - x)/delta unless it moves away from a bound it
+        violates.  Returns (t, row, leave_at_upper); row == _BOUND_FLIP
         flips the entering variable to its other bound.
         """
         delta = -sigma * u
-        xB = self.xB
-        lbB = self.lb[self.basis]
-        ubB = self.ub[self.basis]
+        dn, up = delta < -PIVOT_TOL, delta > PIVOT_TOL
+        to_upper = np.where(dn, above, ~below)
+        blocks = np.where(dn, ~below, up & ~above)
+        target = np.where(to_upper, self.ub[self.basis], self.lb[self.basis])
         t = np.full(self.m, np.inf)
-        leave_upper = np.zeros(self.m, dtype=bool)
-        feas = ~(below | above)
-
-        dn = delta < -PIVOT_TOL
-        up = delta > PIVOT_TOL
-
-        sel = feas & dn
-        t[sel] = (xB[sel] - lbB[sel]) / -delta[sel]
-        sel = feas & up & np.isfinite(ubB)
-        t[sel] = (ubB[sel] - xB[sel]) / delta[sel]
-        leave_upper[sel] = True
-        sel = below & up
-        t[sel] = (lbB[sel] - xB[sel]) / delta[sel]
-        sel = above & dn
-        t[sel] = (xB[sel] - ubB[sel]) / -delta[sel]
-        leave_upper[sel] = True
-
+        t[blocks] = (target[blocks] - self.xB[blocks]) / delta[blocks]
         np.maximum(t, 0.0, out=t)  # tolerance-sized overshoots pivot degenerately
 
-        t_flip = self.ub[q] - self.lb[q] if np.isfinite(self.ub[q]) else np.inf
+        t_flip = self.ub[q] - self.lb[q]  # inf when column q has no upper bound
         t_min = min(float(np.min(t, initial=np.inf)), t_flip)
-        if not np.isfinite(t_min):
+        if not t_min < np.inf:
             return np.inf, _BOUND_FLIP, False
         if t_flip <= t_min:
             return t_flip, _BOUND_FLIP, False
         # ties break toward the lowest basic variable index (deterministic runs)
         rows = np.flatnonzero(t <= t_min)
         r = int(rows[np.argmin(self.basis[rows])])
-        return float(t[r]), r, bool(leave_upper[r])
+        return float(t[r]), r, bool(to_upper[r])
 
     def _apply_pivot(self, q: int, sigma: int, t: float, r: int, leave_at_upper: bool,
                      u: np.ndarray):
@@ -330,9 +322,7 @@ class _Simplex:
             else:
                 cost = self.c
             d = cost - self.price(cost[self.basis] @ self.Binv)
-            rising = ~self.at_upper & (d < -REDUCED_COST_TOL)
-            falling = self.at_upper & (d > REDUCED_COST_TOL)
-            choice = self._choose_entering(d, rising, falling)
+            choice = self._choose_entering(d)
             if choice is None:
                 return LpStatus.INFEASIBLE if phase == 1 else LpStatus.OPTIMAL
             q, sigma = choice
@@ -365,20 +355,20 @@ def solve(lp: SparseLp, start: LpSolution | None = None,
     list (eq_rows, then ineq_rows).  A start with more rows than the LP,
     or another variable count, raises LpDimensionError.
     """
-    ws = _Simplex(lp)
+    ws = _Simplex(lp, start)
     if max_pivots is None:
         max_pivots = 2000 + 40 * ws.ncols
-    ws.load_basis(start)
     status = ws.run(max_pivots)
-    if status is LpStatus.OPTIMAL:
+    repairs = 0
+    while status is LpStatus.OPTIMAL:
         # hygiene: refresh the factorization and re-verify; repair if drifted
-        for _ in range(3):
-            ws.refactor()
-            if ws.residual() <= FEASIBILITY_TOL:
-                break
-            status = ws.run(max_pivots)
-            if status is LpStatus.INFEASIBLE:
-                break
+        ws.refactor()
+        if ws.residual() <= FEASIBILITY_TOL:
+            break
+        if repairs == 3:
+            raise LpNumericalError("the residual check still fails after 3 repair rounds")
+        repairs += 1
+        status = ws.run(max_pivots)
 
     values = ws.full_values()[: ws.nv]
     obj = float("nan")

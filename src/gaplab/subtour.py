@@ -181,9 +181,9 @@ def separate(x: EdgeValueMap) -> frozenset[int] | None:
 
 # -- cutting-plane driver -----------------------------------------------------
 
-def _subset_row(S, I: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """The sparse row of sum_{e inside S} x_e <= |S| - 1."""
-    inside = np.zeros(int(J.max()) + 1, dtype=bool)
+def _subset_row(S, I: np.ndarray, J: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The sparse row of sum_{e inside S} x_e <= |S| - 1 over n points."""
+    inside = np.zeros(n, dtype=bool)
     inside[list(S)] = True
     cols = np.flatnonzero(inside[I] & inside[J])
     return cols, np.ones(len(cols)), float(len(S) - 1)
@@ -203,24 +203,15 @@ def solve_subtour_lp(obj) -> tuple[EdgeValueMap, list[CutRecord]]:
     I, J = edge_endpoints(n)
     costs = dist[I, J]
 
-    deg_rows = []
-    for v in range(n):
-        cols = np.flatnonzero((I == v) | (J == v))
-        deg_rows.append((cols, np.ones(len(cols)), 2.0))
-
-    bounds = np.tile([0.0, 1.0], (len(costs), 1))
-    cut_rows = []
+    # a stable sort of the endpoints [J, I] lists each point's n - 1 edges in ascending order
+    incident = np.argsort(np.concatenate([J, I]), kind="stable").reshape(n, n - 1) % len(I)
+    lp = SparseLp(objective=costs, eq_rows=[(cols, np.ones(n - 1), 2.0) for cols in incident],
+                  var_bounds=np.tile([0.0, 1.0], (len(costs), 1)))
     seen: set[frozenset[int]] = set()
     records: list[CutRecord] = []
     sol = None  # each round warm-starts from the previous round's solution
 
     for _round in range(CUT_ROUND_FACTOR * n):
-        lp = SparseLp(
-            objective=costs,
-            eq_rows=deg_rows,
-            ineq_rows=list(cut_rows),
-            var_bounds=bounds,
-        )
         sol = lp_solver.solve(lp, start=sol)
         if sol.status is not LpStatus.OPTIMAL:
             raise SubtourSolveError(f"subtour LP solve returned {sol.status.value}")
@@ -236,11 +227,11 @@ def solve_subtour_lp(obj) -> tuple[EdgeValueMap, list[CutRecord]]:
                 f"separation keeps returning already-added cuts ({len(violated)} duplicates)")
         for S, cut_value in new:
             seen.add(S)
-            cut_rows.append(_subset_row(S, I, J))
+            lp.ineq_rows.append(_subset_row(S, I, J, n))
             records.append(CutRecord(subset=S, violation=2.0 - cut_value))
     raise CutRoundLimitError(
         f"no cut-free solution after {CUT_ROUND_FACTOR * n} rounds "
-        f"({len(cut_rows)} cuts added)")
+        f"({len(records)} cuts added)")
 
 
 # -- the half-integral witness -------------------------------------------------

@@ -239,3 +239,11 @@ def test_verify_survives_a_raising_check(capsys, monkeypatch):
     assert code == 1
     assert "raised RuntimeError" in out
     assert "closed-form optimum at n=100" in out  # later checks still ran
+
+
+def test_failed_residual_check_is_an_internal_failure(capsys, monkeypatch):
+    from gaplab import lp_solver
+    monkeypatch.setattr(lp_solver._Simplex, "residual", lambda self: 1.0)
+    code, out, err = run(capsys, "solve", "lp", "--n", "4", "--d", "3")
+    assert code == 1 and out == ""
+    assert err == "internal failure: the residual check still fails after 3 repair rounds\n"

@@ -8,8 +8,10 @@ from gaplab.lp_solver import (
     FEASIBILITY_TOL,
     LpDimensionError,
     LpIterationLimit,
+    LpNumericalError,
     LpStatus,
     SparseLp,
+    _Simplex,
     solve,
 )
 from gaplab.subtour import edge_endpoints
@@ -112,6 +114,14 @@ def test_dimension_mismatch():
         solve(SparseLp(objective=np.array([1.0]), var_bounds=[(0.0, np.inf)]))
     with pytest.raises(LpDimensionError, match=r"invalid bounds \(0.5, 0.25\)"):
         solve(SparseLp(objective=np.array([1.0, 1.0]), var_bounds=[(0.0, 1.0), (0.5, 0.25)]))
+    # non-finite data: a NaN right-hand side, row value or cost, and an
+    # infinite right-hand side
+    for objective, row in (([1.0, 2.0], sparse_row([1.0, 1.0], np.nan)),
+                           ([1.0, 2.0], sparse_row([1.0, np.nan], 1.0)),
+                           ([np.nan, 2.0], sparse_row([1.0, 1.0], 1.0)),
+                           ([1.0, 2.0], sparse_row([1.0, 1.0], np.inf))):
+        with pytest.raises(LpDimensionError, match="must be finite"):
+            solve(SparseLp(objective=np.array(objective), eq_rows=[row], var_bounds=bounds(2)))
 
 
 def test_variable_in_no_row_goes_to_its_cost_optimal_bound():
@@ -145,6 +155,20 @@ def test_iteration_limit_is_not_infeasible():
         solve(lp, max_pivots=0)
     assert (raised.value.phase, raised.value.pivots) == (1, 1)
     assert solve(lp).status is LpStatus.OPTIMAL
+
+
+def test_optimal_only_after_a_passing_residual_check(monkeypatch):
+    lp = SparseLp(objective=np.array([1.0, 2.0]), eq_rows=[sparse_row([1.0, 1.0], 1.0)],
+                  var_bounds=bounds(2))
+    expected = solve(lp).objective_value
+    monkeypatch.setattr(_Simplex, "residual", lambda self: 1.0)
+    with pytest.raises(LpNumericalError, match="after 3 repair rounds"):
+        solve(lp)
+    # one failed check, then a passing one: a repair round, and the same optimum
+    checks = iter([1.0])
+    monkeypatch.setattr(_Simplex, "residual", lambda self: next(checks, 0.0))
+    sol = solve(lp)
+    assert sol.status is LpStatus.OPTIMAL and sol.objective_value == expected
 
 
 def random_feasible_lp(rng, nv, me, mi):

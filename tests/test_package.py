@@ -8,7 +8,8 @@ import pytest
 
 import gaplab
 
-SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def test_all_exports_public_names_not_submodules():
@@ -36,3 +37,15 @@ def test_scripts_run(tmp_path, argv, summary):
     lines = proc.stdout.splitlines()
     for line in summary:
         assert line.format(tmp=tmp_path) in lines
+
+
+def test_benchmark_tracer_hooks_exist(monkeypatch):
+    # the benchmark's traced mode wraps these functions by name; renaming or
+    # removing one must fail here, not only in the benchmark's own suite
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracing import WRAPS, Tracer
+    with Tracer().installed():
+        pass
+    for _name, targets, _facts in WRAPS:
+        for module, attr in targets:
+            assert hasattr(module, attr), f"{module.__name__}.{attr}"

@@ -442,6 +442,14 @@ def test_cutting_plane_pivot_path_on_g18(monkeypatch):
     # the three cuts are the three rows of the grid
     assert sorted(sorted(c.subset) for c in cuts) == [list(range(k, k + 18)) for k in (0, 18, 36)]
     assert x.objective_value == pytest.approx(closed_form_lp_value(18, math.sqrt(17)), abs=1e-7)
+    # many cuts: the warm starts begin phase 1 with violated cut slacks,
+    # basics below their lower bound
+    calls.clear()
+    x, cuts = solve_subtour_lp(np.random.default_rng(5).uniform(0, 100, (40, 2)))
+    assert [sol.pivots for _start, sol in calls] == [171, 52, 16, 3, 7, 17]
+    assert all(start is prev for (start, _), (_, prev) in zip(calls[1:], calls))
+    assert len(cuts) == 14
+    assert x.objective_value == pytest.approx(510.81997510781366, abs=1e-9)
 
 
 def test_solve_subtour_lp_builds_no_dense_row_by_edge_matrix():
