@@ -12,9 +12,12 @@ form an identity block that is never stored.  Equality slacks are fixed
 at zero, so the all-slack basis always exists.  One pivot loop runs both
 phases: phase 1 prices a cost that drives the bound violations of the
 basics to zero, phase 2 prices the objective.  A warm start is the
-LpSolution of the same LP before rows were appended: its basis is
-reused, the new rows' slacks join it, and phase 1 repairs the (few)
-violated rows.
+LpSolution of the same LP before rows were appended to its row list or
+variables to its objective: its basis is reused, the new rows' slacks
+join it, the new variables enter nonbasic at their lower bound, and
+phase 1 repairs the (few) violated rows.  An optimal solution carries
+the row duals y = c_B B^-1 of its basis, so a caller can price columns
+it has not yet added: c_j - y . A_j.
 
 Objective entries, row values and right-hand sides must be finite.
 OPTIMAL means the basics, recomputed from a fresh inverse, passed the
@@ -119,6 +122,7 @@ class LpSolution:
     basis: np.ndarray         # final basis, one column per row; solve(..., start=) reuses it
     at_upper: np.ndarray      # which nonbasic columns sit at their upper bound
     pivots: int
+    duals: np.ndarray | None = None  # row duals c_B B^-1, eq_rows then ineq_rows; OPTIMAL only
 
 
 _BOUND_FLIP = -1
@@ -161,17 +165,19 @@ class _Simplex:
         self.pivots = 0
         # fixed columns (lb == ub, i.e. equality slacks) never enter the basis
         self.fixed = self.ub - self.lb <= 0
-        # the all-slack basis, or start's basis and the slacks of the rows appended since
+        # the all-slack basis, or start's basis with the slacks of the rows appended
+        # since; start's slack columns move past the variables appended since
         self.basis = np.arange(self.nv, self.ncols)
         self.at_upper = np.zeros(self.ncols, dtype=bool)
         if start is not None:
-            k = len(start.basis)
-            if k > self.m or len(start.at_upper) != self.nv + k:
+            k, nv0 = len(start.basis), len(start.at_upper) - len(start.basis)
+            if k > self.m or nv0 > self.nv:
                 raise LpDimensionError(
-                    f"start has {k} rows and {len(start.at_upper) - k} variables; "
+                    f"start has {k} rows and {nv0} variables; "
                     f"the LP has {self.m} rows and {self.nv} variables")
-            self.basis[:k] = start.basis
-            self.at_upper[: self.nv + k] = start.at_upper
+            self.basis[:k] = np.where(start.basis < nv0, start.basis, start.basis + self.nv - nv0)
+            self.at_upper[:nv0] = start.at_upper[:nv0]
+            self.at_upper[self.nv: self.nv + k] = start.at_upper[nv0:]
         self.is_basic = np.zeros(self.ncols, dtype=bool)
         self.is_basic[self.basis] = True
         self.refactor()
@@ -352,8 +358,9 @@ def solve(lp: SparseLp, start: LpSolution | None = None,
           max_pivots: int | None = None) -> LpSolution:
     """Solve a SparseLp.  ``start`` is an optional warm start: the
     LpSolution of this LP before rows were appended to the end of its row
-    list (eq_rows, then ineq_rows).  A start with more rows than the LP,
-    or another variable count, raises LpDimensionError.
+    list (eq_rows, then ineq_rows) or variables to the end of its
+    objective.  A start with more rows or more variables than the LP
+    raises LpDimensionError.
     """
     ws = _Simplex(lp, start)
     if max_pivots is None:
@@ -371,8 +378,9 @@ def solve(lp: SparseLp, start: LpSolution | None = None,
         status = ws.run(max_pivots)
 
     values = ws.full_values()[: ws.nv]
-    obj = float("nan")
+    obj, duals = float("nan"), None
     if status is LpStatus.OPTIMAL:
         values = np.clip(values, ws.lb[: ws.nv], ws.ub[: ws.nv])
         obj = float(ws.c[: ws.nv] @ values)
-    return LpSolution(status, values, obj, ws.basis.copy(), ws.at_upper.copy(), ws.pivots)
+        duals = ws.c[ws.basis] @ ws.Binv
+    return LpSolution(status, values, obj, ws.basis.copy(), ws.at_upper.copy(), ws.pivots, duals)

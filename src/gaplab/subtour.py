@@ -2,11 +2,16 @@
 
 The LP has one variable per unordered point pair with 0 <= x_e <= 1,
 degree equalities sum_{e at v} x_e = 2, and a subset constraint
-sum_{e inside S} x_e <= |S| - 1 for every proper nonempty S.  Constraints
-are added lazily: solve with the rows accumulated so far, find a violated
-subset as a global minimum cut below 2 on the fractional support graph
-(Stoer-Wagner), repeat until none remains.  At that point the objective
-is the subtour-LP optimum, also known as the Held-Karp bound.
+sum_{e inside S} x_e <= |S| - 1 for every proper nonempty S.  Both
+columns and rows are added lazily.  The LP starts on a core edge set (the
+nearest points of each point in each of its four quadrants).  After each
+optimal solve, the LP duals price every edge, and the edges with negative
+reduced cost join the LP, until none is left: the solution is then
+optimal over all edges by the simplex's own criterion.  Only then is a
+violated subset sought, as a global minimum cut below 2 (Stoer-Wagner) on
+the fractional support graph, with its value-1 edges contracted.  When no
+subset is violated, the objective is the subtour-LP optimum, also known
+as the Held-Karp bound.
 """
 from __future__ import annotations
 
@@ -25,11 +30,12 @@ from .instances import (
     lp_distance,
     pairwise_distances,
 )
-from .lp_solver import LpStatus, SparseLp
+from .lp_solver import REDUCED_COST_TOL, LpStatus, SparseLp
 
 SEPARATION_TOL = 1e-6   # a cut below 2 - this counts as violated
 SUPPORT_EPS = 1e-9      # edge values above this form the support graph
 CUT_ROUND_FACTOR = 10   # cut rounds capped at this times the point count
+CORE_NEIGHBOURS = 2     # the core edge set: this many nearest points per quadrant
 
 
 class SubtourSolveError(RuntimeError):
@@ -157,6 +163,10 @@ def stoer_wagner(W: np.ndarray, collect_below: float | None = None):
     return best_value, best_side, harvested
 
 
+def _most_violated_first(found: list[tuple[frozenset[int], float]]):
+    return sorted(found, key=lambda sv: (sv[1], len(sv[0]), sorted(sv[0])))
+
+
 def _violated_sets(W: np.ndarray) -> list[tuple[frozenset[int], float]]:
     """All violated subsets one separation round can see, most violated first.
 
@@ -167,33 +177,129 @@ def _violated_sets(W: np.ndarray) -> list[tuple[frozenset[int], float]]:
     if len(comps) > 1:
         return [(frozenset(c), 0.0) for c in comps]
     _best, _side, harvested = stoer_wagner(W, collect_below=2.0 - SEPARATION_TOL)
-    found = [(S, v) for S, v in harvested.items() if 0 < len(S) < len(W)]
-    found.sort(key=lambda sv: (sv[1], len(sv[0]), sorted(sv[0])))
-    return found
+    return _most_violated_first([(S, v) for S, v in harvested.items() if 0 < len(S) < len(W)])
+
+
+def _shrunk_violated_sets(x: EdgeValueMap) -> list[tuple[frozenset[int], float]]:
+    """:func:`_violated_sets` on the support graph with every edge of value
+    >= 1 - SUPPORT_EPS contracted, its subsets expanded back to point sets.
+
+    The contraction is safe (Padberg and Rinaldi, 1990): if a violated S
+    splits a value-1 edge uv with u in S, then S + v is violated too,
+    since v has degree 2 and sends at least 1 into S, so x(delta(S + v)) =
+    x(delta(S)) + 2 - 2 x(v : S) <= x(delta(S)).  (S + v is proper, or the
+    complement of S would be {v}, whose cut is 2.)  Growing S this way
+    ends in a violated set that splits no value-1 edge, and contraction
+    keeps the weight of every such cut.
+    """
+    n = x.n_points
+    support = x.values > SUPPORT_EPS
+    I, J, w = x.I[support], x.J[support], x.values[support]
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    ones = w >= 1.0 - SUPPORT_EPS
+    for i, j in zip(I[ones].tolist(), J[ones].tolist()):
+        parent[find(i)] = find(j)
+    root = np.array([find(v) for v in range(n)])
+    is_root = root == np.arange(n)
+    group = (np.cumsum(is_root) - 1)[root]  # groups numbered in the order of their roots
+    k = int(is_root.sum())
+    if k < 2:  # one Hamiltonian cycle of value-1 edges
+        return []
+    a, b = group[I], group[J]
+    cross = a != b
+    W = np.bincount(a[cross] * k + b[cross], w[cross], k * k).reshape(k, k)
+    W += W.T
+    members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+    return _most_violated_first(
+        [(frozenset(np.concatenate([members[g] for g in S]).tolist()), v)
+         for S, v in _violated_sets(W)])
 
 
 def separate(x: EdgeValueMap) -> frozenset[int] | None:
     """A most violated subset (cut value below 2 - SEPARATION_TOL), or None
-    if none exists."""
+    if none exists.  Runs on the unshrunk support graph, so it checks the
+    cutting-plane loop's shrunk separation independently."""
     found = _violated_sets(x.as_matrix())
     return found[0][0] if found else None
 
 
 # -- cutting-plane driver -----------------------------------------------------
 
+def _quadrant_core(coords: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """The core edge set, as ascending indices into :func:`edge_endpoints`:
+    every point joined to its CORE_NEIGHBOURS nearest points in each of
+    the four half-open quadrants around it (ties to the lower index).
+
+    Quadrant neighbours reach across the long rungs of G(n, sqrt(n-1)),
+    which plain nearest neighbours miss (Applegate, Bixby, Chvatal and
+    Cook, The Traveling Salesman Problem, 2006).
+    """
+    n = len(coords)
+    dx = coords[None, :, 0] - coords[:, None, 0]
+    dy = coords[None, :, 1] - coords[:, None, 1]
+    quadrant = np.full((n, n), -1, dtype=np.int8)  # -1: the point itself and its duplicates
+    for q, inside in enumerate(((dx > 0) & (dy >= 0), (dx <= 0) & (dy > 0),
+                                (dx < 0) & (dy <= 0), (dx >= 0) & (dy < 0))):
+        quadrant[inside] = q
+    order = np.argsort(dist, axis=1, kind="stable")
+    quadrant = np.take_along_axis(quadrant, order, axis=1)
+    pick = np.zeros((n, n), dtype=bool)
+    for q in range(4):
+        hit = quadrant == q
+        pick |= hit & (np.cumsum(hit, axis=1, dtype=np.int32) <= CORE_NEIGHBOURS)
+    np.put_along_axis(pick, order, pick.copy(), axis=1)  # back from distance order to point order
+    i, j = np.nonzero(np.triu(pick | pick.T, 1))  # row-major: edge_endpoints order
+    return i * n - i * (i + 1) // 2 + (j - i - 1)
+
+
 def _subset_row(S, I: np.ndarray, J: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """The sparse row of sum_{e inside S} x_e <= |S| - 1 over n points."""
+    """The sparse row of sum_{e inside S} x_e <= |S| - 1 over the edges (I, J)."""
     inside = np.zeros(n, dtype=bool)
     inside[list(S)] = True
     cols = np.flatnonzero(inside[I] & inside[J])
     return cols, np.ones(len(cols)), float(len(S) - 1)
 
 
+def _subtour_lp(n: int, I: np.ndarray, J: np.ndarray, costs: np.ndarray, subsets) -> SparseLp:
+    """The LP over the edges (I[k], J[k]): one degree row per point, then
+    one row per subset in order."""
+    ends = np.concatenate([I, J])
+    # a stable sort of the endpoints lists each point's edges in column order
+    incident = np.split(np.argsort(ends, kind="stable") % len(I),
+                        np.cumsum(np.bincount(ends, minlength=n))[:-1])
+    return SparseLp(objective=costs, eq_rows=[(cols, np.ones(len(cols)), 2.0) for cols in incident],
+                    ineq_rows=[_subset_row(S, I, J, n) for S in subsets],
+                    var_bounds=np.tile([0.0, 1.0], (len(costs), 1)))
+
+
+def _reduced_costs(costs: np.ndarray, I: np.ndarray, J: np.ndarray, n: int, duals: np.ndarray,
+                   subsets) -> np.ndarray:
+    """c_e - y_i - y_j - sum_{S containing i, j} y_S for every edge (I, J),
+    from the duals of the degree rows, then of the subset rows."""
+    y = duals[:n]
+    potential = y[:, None] + y[None, :]
+    cut = np.flatnonzero(duals[n:])
+    if cut.size:
+        inside = np.zeros((cut.size, n))
+        for r, k in enumerate(cut):
+            inside[r, list(subsets[k])] = 1.0
+        potential += (inside.T * duals[n + cut]) @ inside
+    return costs - potential[I, J]
+
+
 def solve_subtour_lp(obj) -> tuple[EdgeValueMap, list[CutRecord]]:
     """Exact subtour-LP optimum of an Instance or raw (N, 2) point array.
 
-    Returns the last round's edge values, in which separation found no
-    violated subset, together with the cuts added on the way.
+    Returns the last round's edge values over every point pair, optimal
+    over all edges and with no violated subset, together with the cuts
+    added on the way.
     """
     coords, p = coerce_points(obj)
     n = len(coords)
@@ -203,31 +309,44 @@ def solve_subtour_lp(obj) -> tuple[EdgeValueMap, list[CutRecord]]:
     I, J = edge_endpoints(n)
     costs = dist[I, J]
 
-    # a stable sort of the endpoints [J, I] lists each point's n - 1 edges in ascending order
-    incident = np.argsort(np.concatenate([J, I]), kind="stable").reshape(n, n - 1) % len(I)
-    lp = SparseLp(objective=costs, eq_rows=[(cols, np.ones(n - 1), 2.0) for cols in incident],
-                  var_bounds=np.tile([0.0, 1.0], (len(costs), 1)))
-    seen: set[frozenset[int]] = set()
+    cols = _quadrant_core(coords, dist)  # the LP's columns, as edge indices
+    in_lp = np.zeros(len(I), dtype=bool)
+    in_lp[cols] = True
+    subsets: list[frozenset[int]] = []
+    lp = _subtour_lp(n, I[cols], J[cols], costs[cols], subsets)
     records: list[CutRecord] = []
-    sol = None  # each round warm-starts from the previous round's solution
+    sol = None  # every solve warm-starts from the previous one
 
     for _round in range(CUT_ROUND_FACTOR * n):
-        sol = lp_solver.solve(lp, start=sol)
-        if sol.status is not LpStatus.OPTIMAL:
-            raise SubtourSolveError(f"subtour LP solve returned {sol.status.value}")
-        x = EdgeValueMap(n, I, J, sol.values, sol.objective_value)
-        violated = _violated_sets(x.as_matrix())
+        while True:  # price every edge until none has a negative reduced cost
+            sol = lp_solver.solve(lp, start=sol)
+            if sol.status is LpStatus.INFEASIBLE and not in_lp.all():
+                new = np.flatnonzero(~in_lp)  # the core admits no solution: take every edge
+            elif sol.status is not LpStatus.OPTIMAL:
+                raise SubtourSolveError(f"subtour LP solve returned {sol.status.value}")
+            else:
+                reduced = _reduced_costs(costs, I, J, n, sol.duals, subsets)
+                new = np.flatnonzero((reduced < -REDUCED_COST_TOL) & ~in_lp)
+                if not new.size:
+                    break
+            in_lp[new] = True
+            cols = np.concatenate([cols, new])
+            lp = _subtour_lp(n, I[cols], J[cols], costs[cols], subsets)
+        values = np.zeros(len(I))
+        values[cols] = sol.values
+        x = EdgeValueMap(n, I, J, values, sol.objective_value)
+        violated = _shrunk_violated_sets(x)
         if not violated:
             return x, records
-        new = [(S, v) for S, v in violated if S not in seen]
-        if not new:
+        new_sets = [(S, v) for S, v in violated if S not in subsets]
+        if not new_sets:
             # a subset whose row is already present cannot stay violated beyond
             # the LP tolerance, so this is a numerical stall, not convergence
             raise SubtourSolveError(
                 f"separation keeps returning already-added cuts ({len(violated)} duplicates)")
-        for S, cut_value in new:
-            seen.add(S)
-            lp.ineq_rows.append(_subset_row(S, I, J, n))
+        for S, cut_value in new_sets:
+            subsets.append(S)
+            lp.ineq_rows.append(_subset_row(S, I[cols], J[cols], n))
             records.append(CutRecord(subset=S, violation=2.0 - cut_value))
     raise CutRoundLimitError(
         f"no cut-free solution after {CUT_ROUND_FACTOR * n} rounds "

@@ -6,6 +6,7 @@ import pytest
 from gaplab.instances import pairwise_distances
 from gaplab.lp_solver import (
     FEASIBILITY_TOL,
+    REDUCED_COST_TOL,
     LpDimensionError,
     LpIterationLimit,
     LpNumericalError,
@@ -230,6 +231,65 @@ def test_warm_start_after_adding_rows(rng):
     replay_feasibility(grown, warm)
     # a start with more rows than the LP has no meaning for it
     with pytest.raises(LpDimensionError, match="start has 6 rows"):
+        solve(lp, start=warm)
+
+
+def test_duals_certify_the_optimum(rng):
+    # y = c_B B^-1: the reduced costs c - yA have the optimal signs, and
+    # b.y plus the bound terms of the nonbasics is the objective
+    for k in range(120):
+        nv = int(rng.integers(2, 9))
+        lp = random_feasible_lp(rng, nv, me=int(rng.integers(0, 3)), mi=int(rng.integers(0, 4)))
+        sol = solve(lp)
+        assert sol.status is LpStatus.OPTIMAL, f"case {k}"
+        A, b = dense_rows(lp.eq_rows + lp.ineq_rows, nv)
+        y = sol.duals
+        reduced = lp.objective - y @ A
+        basic = np.isin(np.arange(nv), sol.basis)
+        lower = ~basic & ~sol.at_upper[:nv]
+        upper = ~basic & sol.at_upper[:nv]
+        assert (reduced[lower] >= -REDUCED_COST_TOL).all(), f"case {k}"
+        assert (reduced[upper] <= REDUCED_COST_TOL).all(), f"case {k}"
+        assert np.abs(reduced[basic]).max(initial=0.0) <= REDUCED_COST_TOL, f"case {k}"
+        # an inequality row's slack prices at -y_r: nonnegative at its lower bound 0
+        assert (y[len(lp.eq_rows):] <= REDUCED_COST_TOL).all(), f"case {k}"
+        bound_terms = reduced[~basic] @ sol.values[~basic]
+        assert b @ y + bound_terms == pytest.approx(sol.objective_value, abs=1e-9), f"case {k}"
+
+
+def test_no_duals_unless_optimal():
+    lp = SparseLp(objective=np.array([1.0]), ineq_rows=[sparse_row([-1.0], -2.0)],
+                  var_bounds=bounds(1))
+    assert solve(lp).duals is None
+
+
+def test_warm_start_after_adding_variables(rng):
+    lp = random_feasible_lp(rng, 8, me=2, mi=2)
+    first = solve(lp)
+    extra = rng.normal(size=(4, 3))
+
+    def grow(costs):
+        """lp with three more variables appended to every row; a start from lp knows eight"""
+        return SparseLp(
+            objective=np.concatenate([lp.objective, costs]),
+            eq_rows=[(np.concatenate([c, [8, 9, 10]]), np.concatenate([v, extra[r]]), rhs)
+                     for r, (c, v, rhs) in enumerate(lp.eq_rows)],
+            ineq_rows=[(np.concatenate([c, [8, 9, 10]]), np.concatenate([v, extra[2 + r]]), rhs)
+                       for r, (c, v, rhs) in enumerate(lp.ineq_rows)],
+            var_bounds=list(lp.var_bounds) + bounds(3))
+    # columns too dear to enter: the start's basis is optimal as it stands
+    same = solve(grow(np.full(3, 1e3)), start=first)
+    assert same.pivots == 0 and same.objective_value == pytest.approx(first.objective_value, abs=1e-12)
+    assert np.array_equal(same.basis, np.where(first.basis < 8, first.basis, first.basis + 3))
+    grown = grow(rng.normal(size=3) - 1.0)
+    warm = solve(grown, start=first)
+    cold = solve(grown)
+    assert warm.status is cold.status is LpStatus.OPTIMAL
+    assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
+    assert warm.objective_value < first.objective_value - 1e-6  # the new columns entered
+    replay_feasibility(grown, warm)
+    # a start with more variables than the LP has no meaning for it
+    with pytest.raises(LpDimensionError, match="start has 4 rows and 11 variables"):
         solve(lp, start=warm)
 
 

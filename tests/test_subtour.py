@@ -8,7 +8,7 @@ import pytest
 
 from gaplab.exact import held_karp
 from gaplab.instances import DomainError, pairwise_distances
-from gaplab.lp_solver import LpStatus, SparseLp, solve
+from gaplab.lp_solver import REDUCED_COST_TOL, LpStatus, SparseLp, solve
 from gaplab.subtour import (
     CutRoundLimitError,
     EdgeValueMap,
@@ -427,7 +427,8 @@ def test_solve_subtour_lp_deterministic(rng):
 
 def test_cutting_plane_pivot_path_on_g18(monkeypatch):
     # pins the pivot path: a solver change that keeps every value but pivots
-    # differently shows up here (155 = 60 cold + 95 warm-started pivots)
+    # differently shows up here (109 = 54 on the quadrant core + 51 after the
+    # three cuts + 4 after pricing in the edges the cuts made attractive)
     import gaplab.subtour as sub
     solve_lp, calls = sub.lp_solver.solve, []
 
@@ -437,19 +438,116 @@ def test_cutting_plane_pivot_path_on_g18(monkeypatch):
         return sol
     monkeypatch.setattr(sub.lp_solver, "solve", counting_solve)
     x, cuts = solve_subtour_lp(gline_instance(18, math.sqrt(17)))
-    assert sum(sol.pivots for _start, sol in calls) == 155
-    assert len(calls) == 2 and calls[0][0] is None and calls[1][0] is calls[0][1]
+    assert [sol.pivots for _start, sol in calls] == [54, 51, 4]
+    assert calls[0][0] is None
+    assert all(start is prev for (start, _), (_, prev) in zip(calls[1:], calls))
     # the three cuts are the three rows of the grid
     assert sorted(sorted(c.subset) for c in cuts) == [list(range(k, k + 18)) for k in (0, 18, 36)]
     assert x.objective_value == pytest.approx(closed_form_lp_value(18, math.sqrt(17)), abs=1e-7)
     # many cuts: the warm starts begin phase 1 with violated cut slacks,
-    # basics below their lower bound
+    # basics below their lower bound; the second solve follows pricing
     calls.clear()
     x, cuts = solve_subtour_lp(np.random.default_rng(5).uniform(0, 100, (40, 2)))
-    assert [sol.pivots for _start, sol in calls] == [171, 52, 16, 3, 7, 17]
+    assert [sol.pivots for _start, sol in calls] == [117, 2, 60, 31, 3, 5, 5]
     assert all(start is prev for (start, _), (_, prev) in zip(calls[1:], calls))
-    assert len(cuts) == 14
+    assert len(cuts) == 13
     assert x.objective_value == pytest.approx(510.81997510781366, abs=1e-9)
+
+
+def independent_reduced_costs(points, duals, subsets):
+    """c_e - y_i - y_j - sum_{S containing i, j} y_S over every pair, one
+    subset at a time."""
+    dist = pairwise_distances(points)
+    n = len(points)
+    I, J = edge_endpoints(n)
+    reduced = dist[I, J] - duals[I] - duals[J]
+    for y_S, S in zip(duals[n:], subsets):
+        inside = np.zeros(n, dtype=bool)
+        inside[list(S)] = True
+        reduced -= y_S * (inside[I] & inside[J])
+    return reduced
+
+
+@pytest.mark.parametrize("points,objective", zip([
+    gline_instance(18, math.sqrt(17)).coords(),
+    gline_instance(60, math.sqrt(59)).coords(),
+    *np.random.default_rng(101).uniform(0.0, 100.0, size=(2, 100, 2)),
+], [closed_form_lp_value(18, math.sqrt(17)), closed_form_lp_value(60, math.sqrt(59)),
+    795.6160289435986, 760.0267245946907]), ids=["G18", "G60", "set0", "set1"])
+def test_returned_solution_is_priced_over_every_edge(monkeypatch, points, objective):
+    # the two point sets are the first of the benchmark's lp-cuts seed 101;
+    # their objectives were measured with every edge in the LP from the start
+    import gaplab.subtour as sub
+    solve_lp, last = sub.lp_solver.solve, []
+
+    def recording_solve(lp, start=None, **kwargs):
+        last[:] = [solve_lp(lp, start=start, **kwargs)]
+        return last[0]
+    monkeypatch.setattr(sub.lp_solver, "solve", recording_solve)
+    x, cuts = solve_subtour_lp(points)
+    reduced = independent_reduced_costs(points, last[0].duals, [c.subset for c in cuts])
+    # edges outside the final LP sit at 0 and price out; inside it, the
+    # simplex checked the same sign condition
+    assert reduced[x.values == 0.0].min() >= -REDUCED_COST_TOL
+    assert separate(x) is None
+    assert x.max_degree_violation() <= 1e-6
+    dist = pairwise_distances(points)
+    assert x.values @ dist[x.I, x.J] == pytest.approx(x.objective_value, abs=1e-9)
+    assert x.objective_value == pytest.approx(objective, abs=1e-9)
+
+
+def test_loop_recovers_from_a_poor_core(monkeypatch):
+    import gaplab.subtour as sub
+    inst = gline_instance(6, 3.0)
+    expected, expected_cuts = solve_subtour_lp(inst)
+    solve_lp, calls = sub.lp_solver.solve, []
+
+    def recording_solve(lp, start=None, **kwargs):
+        calls.append((lp.n_vars, solve_lp(lp, start=start, **kwargs)))
+        return calls[-1][1]
+    # a Hamiltonian path leaves its two ends one edge each: no degree-2 point
+    path = np.array([i * 18 - i * (i + 1) // 2 for i in range(17)])
+    monkeypatch.setattr(sub, "_quadrant_core", lambda coords, dist: path)
+    monkeypatch.setattr(sub.lp_solver, "solve", recording_solve)
+    x, _cuts = solve_subtour_lp(inst)
+    assert calls[0][0] == 17 and calls[0][1].status is LpStatus.INFEASIBLE
+    assert calls[1][0] == 18 * 17 // 2
+    assert x.objective_value == pytest.approx(expected.objective_value, abs=1e-9)
+    assert x.objective_value == pytest.approx(closed_form_lp_value(6, 3.0), abs=1e-9)
+    assert separate(x) is None
+    # closing the path into a cycle makes the core feasible but far from
+    # optimal: only pricing can bring in the edges the optimum uses
+    cycle = np.append(path, 17 - 1)  # the pair (0, 17)
+    monkeypatch.setattr(sub, "_quadrant_core", lambda coords, dist: cycle)
+    calls.clear()
+    x, _cuts = solve_subtour_lp(inst)
+    assert calls[0][1].status is LpStatus.OPTIMAL
+    assert calls[0][1].objective_value > expected.objective_value + 1.0
+    assert x.objective_value == pytest.approx(expected.objective_value, abs=1e-9)
+
+
+def test_shrunk_separation_agrees_with_dense():
+    from gaplab.subtour import _shrunk_violated_sets
+    triangles = np.zeros((6, 6))
+    for tri in ([0, 1, 2], [3, 4, 5]):
+        for i, j in itertools.combinations(tri, 2):
+            triangles[i, j] = triangles[j, i] = 1.0
+    bridged = triangles.copy()
+    bridged[2, 3] = bridged[3, 2] = bridged[0, 5] = bridged[5, 0] = 0.5
+    cycle = np.zeros((8, 8))
+    for i in range(8):
+        cycle[i, (i + 1) % 8] = cycle[(i + 1) % 8, i] = 1.0
+    maps = [edge_map_from_matrix(W) for W in (triangles, bridged, cycle)]
+    maps.append(build_half_integral(gline_instance(18, 3.0)))
+    for x in maps:
+        found = _shrunk_violated_sets(x)
+        assert bool(found) == (separate(x) is not None)
+        W = x.as_matrix()
+        for S, cut_value in found:
+            mask = np.zeros(x.n_points, dtype=bool)
+            mask[list(S)] = True
+            assert W[mask][:, ~mask].sum() == pytest.approx(cut_value, abs=1e-12)
+            assert cut_value < 2 - 1e-6
 
 
 def test_solve_subtour_lp_builds_no_dense_row_by_edge_matrix():
@@ -467,7 +565,7 @@ def test_solve_subtour_lp_builds_no_dense_row_by_edge_matrix():
     assert peak < 8 * points * edges
 
 
-@pytest.mark.parametrize("n", [12, 14, 16, 20, 24])
+@pytest.mark.parametrize("n", [12, 14, 16, 20, 24, 60, 120])
 def test_construction_stays_lp_optimal_into_the_proven_regime(n):
     # the sqrt(n-1) spacing regime: the cutting-plane optimum keeps landing
     # exactly on the closed form well beyond the small acceptance grid
