@@ -9,15 +9,22 @@ Only the basis matrix and its inverse are dense (rows x rows).
 
 Every row (equality or <=) receives an internal slack column; the slacks
 form an identity block that is never stored.  Equality slacks are fixed
-at zero, so the all-slack basis always exists.  One pivot loop runs both
-phases: phase 1 prices a cost that drives the bound violations of the
-basics to zero, phase 2 prices the objective.  A warm start is the
+at zero, so the all-slack basis always exists.  A warm start is the
 LpSolution of the same LP before rows were appended to its row list or
 variables to its objective: its basis is reused, the new rows' slacks
-join it, the new variables enter nonbasic at their lower bound, and
-phase 1 repairs the (few) violated rows.  An optimal solution carries
-the row duals y = c_B B^-1 of its basis, so a caller can price columns
-it has not yet added: c_j - y . A_j.
+join it, and the new variables enter nonbasic at their lower bound.
+
+Two pivot loops share the same state and kernels.  When the starting
+basis is dual feasible (no column prices in), the dual simplex with the
+bound-flipping ratio test drives the basics into their bounds while the
+reduced costs keep their signs.  That is the case for a cold start with
+nonnegative costs and for a warm start after rows were appended, as
+cutting planes append them.  The primal loop then finishes (or starts,
+when the basis is not dual feasible): phase 1 prices a cost that drives
+the bound violations of the basics to zero, phase 2 prices the
+objective.  Every verdict other than OPTIMAL comes from the primal loop.
+An optimal solution carries the row duals y = c_B B^-1 of its basis, so
+a caller can price columns it has not yet added: c_j - y . A_j.
 
 Objective entries, row values and right-hand sides must be finite.
 OPTIMAL means the basics, recomputed from a fresh inverse, passed the
@@ -55,7 +62,9 @@ class LpIterationLimit(RuntimeError):
     """Pivot budget exhausted before reaching a verdict.
 
     Deliberately distinct from an INFEASIBLE status: the LP may well be
-    solvable, the solver just gave up.
+    solvable, the solver just gave up.  ``phase`` is 1 while some basic is
+    still out of bounds (in the primal phase 1 or in the dual loop) and 2
+    once every basic is within bounds.
     """
 
     def __init__(self, phase: int, pivots: int):
@@ -284,7 +293,7 @@ class _Simplex:
     def _apply_pivot(self, q: int, sigma: int, t: float, r: int, leave_at_upper: bool,
                      u: np.ndarray):
         """Move column q by t*sigma; row r's basic leaves (|u[r]| > PIVOT_TOL
-        by the ratio test) unless r is _BOUND_FLIP."""
+        by either ratio test) unless r is _BOUND_FLIP."""
         enter_val = (self.ub[q] if self.at_upper[q] else self.lb[q]) + sigma * t
         self.xB += t * (-sigma) * u
         if r == _BOUND_FLIP:
@@ -303,6 +312,63 @@ class _Simplex:
         self.pivots += 1
         if self.pivots % REFRESH_EVERY == 0:
             self.refactor()
+
+    def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+        """cost - (cost_B Binv) @ [A | I]."""
+        return cost - self.price(cost[self.basis] @ self.Binv)
+
+    def dual_feasible(self) -> bool:
+        """Whether no nonbasic column prices in: every reduced cost has the
+        sign its bound needs."""
+        return self._choose_entering(self.reduced_costs(self.c)) is None
+
+    def run_dual(self, max_pivots: int):
+        """Dual simplex from a dual feasible basis, until no basic is out of
+        bounds.  It returns early, leaving the verdict to run(), when no
+        column can enter (the LP may be infeasible) or after BLAND_AFTER
+        pivots.
+
+        The basic with the largest bound violation leaves at the bound it
+        violates.  Its tableau row alpha = Binv[r] @ [A | I] gives each
+        column that can move x_r toward that bound a breakpoint -d_j/alpha_j,
+        where its reduced cost d_j would change sign.  Bound-flipping ratio
+        test (Fourer, 1994): in breakpoint order, a column is passed, i.e.
+        flipped to its other bound, while the violation left exceeds
+        |alpha_j| (ub_j - lb_j); the first column that cannot be passed
+        enters.  The violation of x_r is the slope of the dual objective,
+        so every pass keeps it rising.
+        """
+        while self.m and self.pivots < BLAND_AFTER:
+            lb, ub = self.lb[self.basis], self.ub[self.basis]
+            violation = np.maximum(lb - self.xB, self.xB - ub)
+            r = int(np.argmax(violation))
+            if violation[r] <= FEASIBILITY_TOL:
+                return
+            if self.pivots > max_pivots:
+                raise LpIterationLimit(1, self.pivots)  # the basics are still out of bounds
+            rising = bool(self.xB[r] < lb[r])
+            d = self.reduced_costs(self.c)
+            # sign-adjusted row: raising column j moves x_r toward its bound iff alpha_j < 0
+            alpha = self.price(self.Binv[r]) * (1.0 if rising else -1.0)
+            eligible = np.where(self.at_upper, alpha > PIVOT_TOL, alpha < -PIVOT_TOL)
+            idx = np.flatnonzero(eligible & ~self.is_basic & ~self.fixed)
+            step = np.maximum(-d[idx] / alpha[idx], 0.0)  # the breakpoints
+            # ties break toward the larger |alpha|, the more stable pivot
+            order = idx[np.lexsort((-np.abs(alpha[idx]), step))]
+            width = np.abs(alpha[order]) * (self.ub[order] - self.lb[order])
+            k = int(np.searchsorted(np.cumsum(width), violation[r]))
+            if k == len(order):
+                return  # dual unbounded: every column passes, so x_r cannot reach its bound
+            passed, q = order[:k], int(order[k])
+            if k:
+                dx = np.zeros(self.ncols)
+                dx[passed] = np.where(self.at_upper[passed], self.lb[passed] - self.ub[passed],
+                                      self.ub[passed] - self.lb[passed])
+                self.at_upper[passed] = ~self.at_upper[passed]
+                self.xB -= self.Binv @ self.times(dx)
+            u = self.entering_column(q)
+            target = lb[r] if rising else ub[r]
+            self._apply_pivot(q, 1, (self.xB[r] - target) / u[r], r, not rising, u)
 
     def run(self, max_pivots: int) -> LpStatus:
         """Pivot to a verdict: phase 1 while a basic is out of bounds, then
@@ -327,7 +393,7 @@ class _Simplex:
                 cost[self.basis[below]] = -1.0
             else:
                 cost = self.c
-            d = cost - self.price(cost[self.basis] @ self.Binv)
+            d = self.reduced_costs(cost)
             choice = self._choose_entering(d)
             if choice is None:
                 return LpStatus.INFEASIBLE if phase == 1 else LpStatus.OPTIMAL
@@ -361,10 +427,16 @@ def solve(lp: SparseLp, start: LpSolution | None = None,
     list (eq_rows, then ineq_rows) or variables to the end of its
     objective.  A start with more rows or more variables than the LP
     raises LpDimensionError.
+
+    When the starting basis is dual feasible, the dual loop runs first;
+    the primal loop then reaches the verdict.  ``max_pivots`` bounds the
+    pivots of both loops together.
     """
     ws = _Simplex(lp, start)
     if max_pivots is None:
         max_pivots = 2000 + 40 * ws.ncols
+    if ws.dual_feasible():
+        ws.run_dual(max_pivots)
     status = ws.run(max_pivots)
     repairs = 0
     while status is LpStatus.OPTIMAL:

@@ -194,11 +194,36 @@ def replay_feasibility(lp, sol, tol=FEASIBILITY_TOL):
         assert lo - 1e-9 <= xi <= hi + 1e-9
 
 
+def random_lp_corpus(rng, count=120):
+    """(k, lp) for count seeded random feasible LPs of 2 to 8 variables."""
+    for k in range(count):
+        nv = int(rng.integers(2, 9))
+        yield k, random_feasible_lp(rng, nv, me=int(rng.integers(0, 3)), mi=int(rng.integers(0, 4)))
+
+
+def assert_duals_certify(lp, sol, case):
+    """y = c_B B^-1: the reduced costs c - yA have the optimal signs, and
+    b.y plus the bound terms of the nonbasics is the objective."""
+    nv = lp.n_vars
+    A, b = dense_rows(lp.eq_rows + lp.ineq_rows, nv)
+    y = sol.duals
+    reduced = lp.objective - y @ A
+    basic = np.isin(np.arange(nv), sol.basis)
+    lower = ~basic & ~sol.at_upper[:nv]
+    upper = ~basic & sol.at_upper[:nv]
+    assert (reduced[lower] >= -REDUCED_COST_TOL).all(), f"case {case}"
+    assert (reduced[upper] <= REDUCED_COST_TOL).all(), f"case {case}"
+    assert np.abs(reduced[basic]).max(initial=0.0) <= REDUCED_COST_TOL, f"case {case}"
+    # an inequality row's slack prices at -y_r: nonnegative at its lower bound 0
+    assert (y[len(lp.eq_rows):] <= REDUCED_COST_TOL).all(), f"case {case}"
+    bound_terms = reduced[~basic] @ sol.values[~basic]
+    assert b @ y + bound_terms == pytest.approx(sol.objective_value, abs=1e-9), f"case {case}"
+
+
 def test_random_lps_match_scipy(rng):
     linprog = pytest.importorskip("scipy.optimize").linprog
-    for k in range(120):
-        nv = int(rng.integers(2, 9))
-        lp = random_feasible_lp(rng, nv, me=int(rng.integers(0, 3)), mi=int(rng.integers(0, 4)))
+    for k, lp in random_lp_corpus(rng):
+        nv = lp.n_vars
         sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL, f"case {k}"
         replay_feasibility(lp, sol)
@@ -235,26 +260,10 @@ def test_warm_start_after_adding_rows(rng):
 
 
 def test_duals_certify_the_optimum(rng):
-    # y = c_B B^-1: the reduced costs c - yA have the optimal signs, and
-    # b.y plus the bound terms of the nonbasics is the objective
-    for k in range(120):
-        nv = int(rng.integers(2, 9))
-        lp = random_feasible_lp(rng, nv, me=int(rng.integers(0, 3)), mi=int(rng.integers(0, 4)))
+    for k, lp in random_lp_corpus(rng):
         sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL, f"case {k}"
-        A, b = dense_rows(lp.eq_rows + lp.ineq_rows, nv)
-        y = sol.duals
-        reduced = lp.objective - y @ A
-        basic = np.isin(np.arange(nv), sol.basis)
-        lower = ~basic & ~sol.at_upper[:nv]
-        upper = ~basic & sol.at_upper[:nv]
-        assert (reduced[lower] >= -REDUCED_COST_TOL).all(), f"case {k}"
-        assert (reduced[upper] <= REDUCED_COST_TOL).all(), f"case {k}"
-        assert np.abs(reduced[basic]).max(initial=0.0) <= REDUCED_COST_TOL, f"case {k}"
-        # an inequality row's slack prices at -y_r: nonnegative at its lower bound 0
-        assert (y[len(lp.eq_rows):] <= REDUCED_COST_TOL).all(), f"case {k}"
-        bound_terms = reduced[~basic] @ sol.values[~basic]
-        assert b @ y + bound_terms == pytest.approx(sol.objective_value, abs=1e-9), f"case {k}"
+        assert_duals_certify(lp, sol, k)
 
 
 def test_no_duals_unless_optimal():
@@ -291,6 +300,124 @@ def test_warm_start_after_adding_variables(rng):
     # a start with more variables than the LP has no meaning for it
     with pytest.raises(LpDimensionError, match="start has 4 rows and 11 variables"):
         solve(lp, start=warm)
+
+
+def grown_by(lp, rows):
+    """lp with the (cols, vals, rhs) rows appended to its inequality rows."""
+    return SparseLp(objective=lp.objective, eq_rows=lp.eq_rows,
+                    ineq_rows=list(lp.ineq_rows) + rows, var_bounds=lp.var_bounds)
+
+
+def dual_pass(lp, start=None):
+    """The dual loop alone, from a start that must be dual feasible; its
+    basics must match those recomputed from a fresh inverse, so bound flips
+    and pivots kept them in step.  Returns the working state."""
+    ws = _Simplex(lp, start)
+    assert ws.dual_feasible()
+    ws.run_dual(max_pivots=10_000)
+    kept = ws.xB.copy()
+    ws.refactor()
+    assert kept == pytest.approx(ws.xB, abs=1e-9)
+    return ws
+
+
+def test_warm_start_after_cutting_off_the_optimum(rng):
+    # the cutting-plane re-solve: rows that the optimum violates leave its
+    # basis dual feasible, so the dual loop repairs them
+    cut_rng = np.random.default_rng(11)
+    optimal = 0
+    for k, lp in random_lp_corpus(rng):
+        first = solve(lp)
+        rows = []
+        for _ in range(int(cut_rng.integers(1, 4))):
+            a = cut_rng.normal(size=lp.n_vars)
+            rows.append(sparse_row(a, a @ first.values - cut_rng.uniform(0.05, 0.5)))
+        grown = grown_by(lp, rows)
+        dual_pass(grown, first)
+        warm, cold = solve(grown, start=first), solve(grown)
+        assert warm.status is cold.status, f"case {k}"
+        if warm.status is LpStatus.OPTIMAL:
+            optimal += 1
+            assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-9), f"case {k}"
+            replay_feasibility(grown, warm)
+            assert_duals_certify(grown, warm, k)
+    assert optimal >= 60
+
+
+def test_appended_row_that_empties_the_lp_is_infeasible(rng):
+    for k, lp in random_lp_corpus(rng, 30):
+        first = solve(lp)
+        a = rng.normal(size=lp.n_vars)
+        lo, hi = np.asarray(lp.var_bounds).T
+        least = np.minimum(a * lo, a * hi).sum()  # the row's least value over the bounds
+        grown = grown_by(lp, [sparse_row(a, least - 0.1)])
+        dual_pass(grown, first)
+        assert solve(grown, start=first).status is LpStatus.INFEASIBLE, f"case {k}"
+
+
+def test_bound_flipping_ratio_test_passes_breakpoints(rng):
+    # costs >= 0 with every column at its lower bound: the all-slack basis is
+    # dual feasible.  x0 + x1 + x2 + x3 = 2.5 puts its fixed slack 2.5 above
+    # its bound; the two cheapest columns are passed (flipped to 1) and the
+    # third enters at 0.5, all in one pivot
+    lp = SparseLp(objective=np.array([1.0, 2.0, 3.0, 4.0]),
+                  eq_rows=[sparse_row([1.0, 1.0, 1.0, 1.0], 2.5)], var_bounds=bounds(4))
+    ws = dual_pass(lp)
+    assert ws.pivots == 1 and list(ws.basis) == [2] and ws.xB == pytest.approx([0.5])
+    assert list(ws.at_upper[:4]) == [True, True, False, False]
+    sol = solve(lp)
+    assert sol.objective_value == pytest.approx(4.5, abs=1e-12)
+    # feasible boxed LPs with nonnegative costs, where the dual loop puts
+    # columns at their upper bounds: its result matches the primal loop's
+    at_upper = 0
+    for k in range(30):
+        nv, m = int(rng.integers(4, 10)), int(rng.integers(1, 4))
+        ub = rng.uniform(0.2, 1.0, nv)
+        x0 = rng.uniform(0.0, 1.0, nv) * ub
+        rows = [(rng.uniform(size=nv) < 0.6) * rng.uniform(0.5, 2.0, nv) for _ in range(m)]
+        lp = SparseLp(objective=rng.uniform(0.0, 1.0, nv),
+                      eq_rows=[sparse_row(row, row @ x0) for row in rows],
+                      var_bounds=[(0.0, float(u)) for u in ub])
+        at_upper += bool(dual_pass(lp).at_upper[:nv].any())
+        primal = _Simplex(lp)
+        assert primal.run(10_000) is LpStatus.OPTIMAL, f"case {k}"
+        sol = solve(lp)
+        assert sol.status is LpStatus.OPTIMAL, f"case {k}"
+        assert sol.objective_value == pytest.approx(lp.objective @ primal.full_values()[:nv],
+                                                    abs=1e-9), f"case {k}"
+    assert at_upper >= 10
+
+
+def test_subtour_cold_and_cut_solves_enter_the_dual_loop(monkeypatch):
+    # a silent fall-back to the primal loop keeps every value, so spy on it:
+    # the cold solve and every re-solve after cuts run dual pivots, and the
+    # re-solves after pricing, whose new columns price in, run none
+    import gaplab.subtour as sub
+    run_dual, dual_pivots, calls = _Simplex.run_dual, [], []
+
+    def spy(self, max_pivots):
+        before = self.pivots
+        run_dual(self, max_pivots)
+        dual_pivots.append(self.pivots - before)
+
+    def recording_solve(lp, start=None, **kwargs):
+        dual_pivots.clear()
+        sol = solve(lp, start=start, **kwargs)
+        if start is None:
+            kind = "cold"
+        elif lp.n_vars > len(start.at_upper) - len(start.basis):
+            kind = "pricing"
+        else:
+            kind = "cuts"
+        calls.append((kind, list(dual_pivots)))
+        return sol
+    monkeypatch.setattr(_Simplex, "run_dual", spy)
+    monkeypatch.setattr(sub.lp_solver, "solve", recording_solve)
+    sub.solve_subtour_lp(np.random.default_rng(5).uniform(0, 100, (40, 2)))
+    kinds = [kind for kind, _ in calls]
+    assert kinds.count("cold") == 1 and kinds.count("cuts") >= 5 and "pricing" in kinds
+    for kind, pivots in calls:
+        assert pivots == [] if kind == "pricing" else len(pivots) == 1 and pivots[0] > 0
 
 
 def test_determinism(rng):

@@ -427,8 +427,8 @@ def test_solve_subtour_lp_deterministic(rng):
 
 def test_cutting_plane_pivot_path_on_g18(monkeypatch):
     # pins the pivot path: a solver change that keeps every value but pivots
-    # differently shows up here (109 = 54 on the quadrant core + 51 after the
-    # three cuts + 4 after pricing in the edges the cuts made attractive)
+    # differently shows up here (72 = 63 dual pivots on the quadrant core +
+    # 9 dual pivots after the three cuts; no edge prices in)
     import gaplab.subtour as sub
     solve_lp, calls = sub.lp_solver.solve, []
 
@@ -438,17 +438,18 @@ def test_cutting_plane_pivot_path_on_g18(monkeypatch):
         return sol
     monkeypatch.setattr(sub.lp_solver, "solve", counting_solve)
     x, cuts = solve_subtour_lp(gline_instance(18, math.sqrt(17)))
-    assert [sol.pivots for _start, sol in calls] == [54, 51, 4]
+    assert [sol.pivots for _start, sol in calls] == [63, 9]
     assert calls[0][0] is None
     assert all(start is prev for (start, _), (_, prev) in zip(calls[1:], calls))
     # the three cuts are the three rows of the grid
     assert sorted(sorted(c.subset) for c in cuts) == [list(range(k, k + 18)) for k in (0, 18, 36)]
     assert x.objective_value == pytest.approx(closed_form_lp_value(18, math.sqrt(17)), abs=1e-7)
-    # many cuts: the warm starts begin phase 1 with violated cut slacks,
-    # basics below their lower bound; the second solve follows pricing
+    # many cuts: the warm starts begin the dual loop with violated cut
+    # slacks, basics below their lower bound; the second and seventh solves
+    # follow pricing, and run primal
     calls.clear()
     x, cuts = solve_subtour_lp(np.random.default_rng(5).uniform(0, 100, (40, 2)))
-    assert [sol.pivots for _start, sol in calls] == [117, 2, 60, 31, 3, 5, 5]
+    assert [sol.pivots for _start, sol in calls] == [54, 1, 13, 7, 2, 2, 1, 2]
     assert all(start is prev for (start, _), (_, prev) in zip(calls[1:], calls))
     assert len(cuts) == 13
     assert x.objective_value == pytest.approx(510.81997510781366, abs=1e-9)
@@ -494,6 +495,39 @@ def test_returned_solution_is_priced_over_every_edge(monkeypatch, points, object
     dist = pairwise_distances(points)
     assert x.values @ dist[x.I, x.J] == pytest.approx(x.objective_value, abs=1e-9)
     assert x.objective_value == pytest.approx(objective, abs=1e-9)
+
+
+def highs_objective(points, subsets):
+    """Optimum of the degree rows plus the given subset rows over every
+    edge, by an external solver (HiGHS) on a sparse matrix."""
+    sparse = pytest.importorskip("scipy.sparse")
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    n = len(points)
+    I, J = edge_endpoints(n)
+    cols = np.arange(len(I))
+    a_eq = sparse.csr_matrix((np.ones(2 * len(I)), (np.concatenate([I, J]), np.concatenate([cols, cols]))),
+                             shape=(n, len(I)))
+    inside = np.zeros((len(subsets), n), dtype=bool)
+    for r, S in enumerate(subsets):
+        inside[r, list(S)] = True
+    res = linprog(pairwise_distances(points)[I, J],
+                  A_ub=sparse.csr_matrix((inside[:, I] & inside[:, J]).astype(float)),
+                  b_ub=np.array([len(S) - 1.0 for S in subsets]),
+                  A_eq=a_eq, b_eq=np.full(n, 2.0), bounds=(0.0, 1.0), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_benchmark_point_sets_match_highs(k):
+    # the six 100-point sets of the benchmark's lp-cuts seed 101: no subset
+    # is violated, and the objective is the optimum over every edge of the
+    # degree rows plus the returned cuts
+    points = np.random.default_rng(101).uniform(0.0, 100.0, size=(6, 100, 2))[k]
+    x, cuts = solve_subtour_lp(points)
+    assert cuts and separate(x) is None
+    assert x.objective_value == pytest.approx(highs_objective(points, [c.subset for c in cuts]),
+                                              abs=1e-6)
 
 
 def test_loop_recovers_from_a_poor_core(monkeypatch):
