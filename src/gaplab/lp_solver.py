@@ -14,17 +14,15 @@ LpSolution of the same LP before rows were appended to its row list or
 variables to its objective: its basis is reused, the new rows' slacks
 join it, and the new variables enter nonbasic at their lower bound.
 
-Two pivot loops share the same state and kernels.  When the starting
-basis is dual feasible (no column prices in), the dual simplex with the
-bound-flipping ratio test drives the basics into their bounds while the
-reduced costs keep their signs.  That is the case for a cold start with
-nonnegative costs and for a warm start after rows were appended, as
-cutting planes append them.  The primal loop then finishes (or starts,
-when the basis is not dual feasible): phase 1 prices a cost that drives
-the bound violations of the basics to zero, phase 2 prices the
-objective.  Every verdict other than OPTIMAL comes from the primal loop.
-An optimal solution carries the row duals y = c_B B^-1 of its basis, so
-a caller can price columns it has not yet added: c_j - y . A_j.
+One pivot loop reaches every verdict: the dual simplex with the
+bound-flipping ratio test.  Every structural column is boxed, so flipping
+the columns that price in to their other bounds makes a basis dual
+feasible unless an inequality slack prices in, and then the all-slack
+basis is taken instead; the dual pivots drive the basics into their
+bounds (OPTIMAL) or find a row that no setting of the nonbasics can
+satisfy (INFEASIBLE).  A boxed LP has no UNBOUNDED verdict.  An optimal solution
+carries the row duals y = c_B B^-1 of its basis, so a caller can price
+columns it has not yet added: c_j - y . A_j.
 
 Objective entries, row values and right-hand sides must be finite.
 OPTIMAL means the basics, recomputed from a fresh inverse, passed the
@@ -47,7 +45,6 @@ REFRESH_EVERY = 120       # pivots between basis-inverse refactorizations
 class LpStatus(Enum):
     OPTIMAL = "OPTIMAL"
     INFEASIBLE = "INFEASIBLE"
-    UNBOUNDED = "UNBOUNDED"
 
 
 class LpDimensionError(ValueError):
@@ -62,14 +59,11 @@ class LpIterationLimit(RuntimeError):
     """Pivot budget exhausted before reaching a verdict.
 
     Deliberately distinct from an INFEASIBLE status: the LP may well be
-    solvable, the solver just gave up.  ``phase`` is 1 while some basic is
-    still out of bounds (in the primal phase 1 or in the dual loop) and 2
-    once every basic is within bounds.
+    solvable, the solver just gave up after ``pivots`` pivots.
     """
 
-    def __init__(self, phase: int, pivots: int):
-        super().__init__(f"simplex iteration limit reached in phase {phase} after {pivots} pivots")
-        self.phase = phase
+    def __init__(self, pivots: int):
+        super().__init__(f"simplex iteration limit reached after {pivots} pivots")
         self.pivots = pivots
 
 
@@ -81,7 +75,9 @@ class SparseLp:
     variable cols[k] is vals[k], every other coefficient is zero, and
     repeated indices add.  var_bounds are per-variable (lower, upper) with
     0 <= lower <= upper, both finite: a sequence of pairs or an
-    (n_vars, 2) array.
+    (n_vars, 2) array.  Since every variable is boxed and the objective
+    prices only the variables, the objective is bounded over any feasible
+    set: the LP is either OPTIMAL or INFEASIBLE, never unbounded.
     """
 
     objective: np.ndarray
@@ -134,16 +130,14 @@ class LpSolution:
     duals: np.ndarray | None = None  # row duals c_B B^-1, eq_rows then ineq_rows; OPTIMAL only
 
 
-_BOUND_FLIP = -1
-
-
 class _Simplex:
     """Working state: columns are [structural | one slack per row].
 
     The structural block A is held as compressed sparse columns: the
     nonzeros of column j are rowind[indptr[j]:indptr[j + 1]] with values
     data[...], and nzcol is the column of every nonzero.  The slack block
-    is the identity and is never stored.
+    is the identity and is never stored.  Pivots and bound flips keep the
+    basis inverse Binv and the basics xB in step; run() is the pivot loop.
     """
 
     def __init__(self, lp: SparseLp, start: LpSolution | None = None):
@@ -176,7 +170,7 @@ class _Simplex:
         self.fixed = self.ub - self.lb <= 0
         # the all-slack basis, or start's basis with the slacks of the rows appended
         # since; start's slack columns move past the variables appended since
-        self.basis = np.arange(self.nv, self.ncols)
+        basis = np.arange(self.nv, self.ncols)
         self.at_upper = np.zeros(self.ncols, dtype=bool)
         if start is not None:
             k, nv0 = len(start.basis), len(start.at_upper) - len(start.basis)
@@ -184,12 +178,10 @@ class _Simplex:
                 raise LpDimensionError(
                     f"start has {k} rows and {nv0} variables; "
                     f"the LP has {self.m} rows and {self.nv} variables")
-            self.basis[:k] = np.where(start.basis < nv0, start.basis, start.basis + self.nv - nv0)
+            basis[:k] = np.where(start.basis < nv0, start.basis, start.basis + self.nv - nv0)
             self.at_upper[:nv0] = start.at_upper[:nv0]
             self.at_upper[self.nv: self.nv + k] = start.at_upper[nv0:]
-        self.is_basic = np.zeros(self.ncols, dtype=bool)
-        self.is_basic[self.basis] = True
-        self.refactor()
+        self.set_basis(basis)
 
     # -- sparse kernels over [A | I] ------------------------------------------
 
@@ -208,9 +200,9 @@ class _Simplex:
 
         A structural column is scattered from its sparse slice into a
         length-m vector first: a product over the full column sums in the
-        order of a dense matrix-vector product, and the Dantzig tie-breaks
-        follow that rounding (a dot product over the nonzeros alone picks
-        different pivots on some inputs).
+        order of a dense matrix-vector product, and the pivot path follows
+        that rounding (a dot product over the nonzeros alone can pick
+        different pivots).
         """
         if q >= self.nv:
             return self.Binv[:, q - self.nv].copy()
@@ -248,57 +240,27 @@ class _Simplex:
 
     # -- pivoting -----------------------------------------------------------
 
-    def _choose_entering(self, d: np.ndarray):
-        """(q, sigma): Dantzig rule on |d| among the columns d improves by
-        raising (sigma = 1) or lowering (-1); Bland after the cap."""
-        rising = ~self.at_upper & (d < -REDUCED_COST_TOL)
-        falling = self.at_upper & (d > REDUCED_COST_TOL)
-        eligible = (rising | falling) & ~self.is_basic & ~self.fixed
-        idx = np.flatnonzero(eligible)
-        if idx.size == 0:
-            return None
-        q = int(idx[0] if self.pivots >= BLAND_AFTER else idx[np.argmax(np.abs(d[idx]))])
-        return q, 1 if rising[q] else -1
+    def set_basis(self, basis: np.ndarray):
+        """Make basis the basis, keeping the nonbasics at their bounds."""
+        self.basis = basis
+        self.is_basic = np.zeros(self.ncols, dtype=bool)
+        self.is_basic[basis] = True
+        self.refactor()
 
-    def _ratio_test(self, u: np.ndarray, sigma: int, q: int, below: np.ndarray,
-                    above: np.ndarray):
-        """First blocking event moving the entering column by t*sigma, t >= 0.
+    def _flip(self, cols: np.ndarray):
+        """Move the nonbasic columns cols to their other bounds, in one
+        update of the basics."""
+        dx = np.zeros(self.ncols)
+        dx[cols] = np.where(self.at_upper[cols], self.lb[cols] - self.ub[cols],
+                            self.ub[cols] - self.lb[cols])
+        self.at_upper[cols] = ~self.at_upper[cols]
+        self.xB -= self.Binv @ self.times(dx)
 
-        Basics move along delta = -sigma*u.  Each has one target bound, the
-        one it violates, else the one it approaches, and blocks at
-        t = (target - x)/delta unless it moves away from a bound it
-        violates.  Returns (t, row, leave_at_upper); row == _BOUND_FLIP
-        flips the entering variable to its other bound.
-        """
-        delta = -sigma * u
-        dn, up = delta < -PIVOT_TOL, delta > PIVOT_TOL
-        to_upper = np.where(dn, above, ~below)
-        blocks = np.where(dn, ~below, up & ~above)
-        target = np.where(to_upper, self.ub[self.basis], self.lb[self.basis])
-        t = np.full(self.m, np.inf)
-        t[blocks] = (target[blocks] - self.xB[blocks]) / delta[blocks]
-        np.maximum(t, 0.0, out=t)  # tolerance-sized overshoots pivot degenerately
-
-        t_flip = self.ub[q] - self.lb[q]  # inf when column q has no upper bound
-        t_min = min(float(np.min(t, initial=np.inf)), t_flip)
-        if not t_min < np.inf:
-            return np.inf, _BOUND_FLIP, False
-        if t_flip <= t_min:
-            return t_flip, _BOUND_FLIP, False
-        # ties break toward the lowest basic variable index (deterministic runs)
-        rows = np.flatnonzero(t <= t_min)
-        r = int(rows[np.argmin(self.basis[rows])])
-        return float(t[r]), r, bool(to_upper[r])
-
-    def _apply_pivot(self, q: int, sigma: int, t: float, r: int, leave_at_upper: bool,
-                     u: np.ndarray):
-        """Move column q by t*sigma; row r's basic leaves (|u[r]| > PIVOT_TOL
-        by either ratio test) unless r is _BOUND_FLIP."""
-        enter_val = (self.ub[q] if self.at_upper[q] else self.lb[q]) + sigma * t
-        self.xB += t * (-sigma) * u
-        if r == _BOUND_FLIP:
-            self.at_upper[q] = not self.at_upper[q]
-            return
+    def _apply_pivot(self, q: int, r: int, t: float, leave_at_upper: bool, u: np.ndarray):
+        """Raise column q by t (lower it when t < 0); row r's basic leaves
+        (|u[r]| > PIVOT_TOL by the ratio test)."""
+        enter_val = (self.ub[q] if self.at_upper[q] else self.lb[q]) + t
+        self.xB -= t * u
         leaving = self.basis[r]
         self.is_basic[leaving] = False
         self.at_upper[leaving] = leave_at_upper and np.isfinite(self.ub[leaving])
@@ -313,104 +275,81 @@ class _Simplex:
         if self.pivots % REFRESH_EVERY == 0:
             self.refactor()
 
-    def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
-        """cost - (cost_B Binv) @ [A | I]."""
-        return cost - self.price(cost[self.basis] @ self.Binv)
-
-    def dual_feasible(self) -> bool:
-        """Whether no nonbasic column prices in: every reduced cost has the
-        sign its bound needs."""
-        return self._choose_entering(self.reduced_costs(self.c)) is None
-
-    def run_dual(self, max_pivots: int):
-        """Dual simplex from a dual feasible basis, until no basic is out of
-        bounds.  It returns early, leaving the verdict to run(), when no
-        column can enter (the LP may be infeasible) or after BLAND_AFTER
-        pivots.
-
-        The basic with the largest bound violation leaves at the bound it
-        violates.  Its tableau row alpha = Binv[r] @ [A | I] gives each
-        column that can move x_r toward that bound a breakpoint -d_j/alpha_j,
-        where its reduced cost d_j would change sign.  Bound-flipping ratio
-        test (Fourer, 1994): in breakpoint order, a column is passed, i.e.
-        flipped to its other bound, while the violation left exceeds
-        |alpha_j| (ub_j - lb_j); the first column that cannot be passed
-        enters.  The violation of x_r is the slope of the dual objective,
-        so every pass keeps it rising.
-        """
-        while self.m and self.pivots < BLAND_AFTER:
-            lb, ub = self.lb[self.basis], self.ub[self.basis]
-            violation = np.maximum(lb - self.xB, self.xB - ub)
-            r = int(np.argmax(violation))
-            if violation[r] <= FEASIBILITY_TOL:
-                return
-            if self.pivots > max_pivots:
-                raise LpIterationLimit(1, self.pivots)  # the basics are still out of bounds
-            rising = bool(self.xB[r] < lb[r])
-            d = self.reduced_costs(self.c)
-            # sign-adjusted row: raising column j moves x_r toward its bound iff alpha_j < 0
-            alpha = self.price(self.Binv[r]) * (1.0 if rising else -1.0)
-            eligible = np.where(self.at_upper, alpha > PIVOT_TOL, alpha < -PIVOT_TOL)
-            idx = np.flatnonzero(eligible & ~self.is_basic & ~self.fixed)
-            step = np.maximum(-d[idx] / alpha[idx], 0.0)  # the breakpoints
-            # ties break toward the larger |alpha|, the more stable pivot
-            order = idx[np.lexsort((-np.abs(alpha[idx]), step))]
-            width = np.abs(alpha[order]) * (self.ub[order] - self.lb[order])
-            k = int(np.searchsorted(np.cumsum(width), violation[r]))
-            if k == len(order):
-                return  # dual unbounded: every column passes, so x_r cannot reach its bound
-            passed, q = order[:k], int(order[k])
-            if k:
-                dx = np.zeros(self.ncols)
-                dx[passed] = np.where(self.at_upper[passed], self.lb[passed] - self.ub[passed],
-                                      self.ub[passed] - self.lb[passed])
-                self.at_upper[passed] = ~self.at_upper[passed]
-                self.xB -= self.Binv @ self.times(dx)
-            u = self.entering_column(q)
-            target = lb[r] if rising else ub[r]
-            self._apply_pivot(q, 1, (self.xB[r] - target) / u[r], r, not rising, u)
+    def reduced_costs(self) -> np.ndarray:
+        """c - (c_B Binv) @ [A | I]."""
+        return self.c - self.price(self.c[self.basis] @ self.Binv)
 
     def run(self, max_pivots: int) -> LpStatus:
-        """Pivot to a verdict: phase 1 while a basic is out of bounds, then
-        phase 2 to the end.
+        """Dual simplex with the bound-flipping ratio test, to a verdict.
 
-        Phase 1 is phase 2 with the cost w: +1 on basics above their bound,
-        -1 on basics below it, 0 elsewhere.  When no column is eligible to
-        enter, the LP is INFEASIBLE in phase 1 and OPTIMAL in phase 2.
+        The first pass flips every nonbasic column that prices in to its
+        other bound, which makes the basis dual feasible (the dual phase 1
+        of a boxed LP).  An inequality slack, unbounded above, cannot be
+        flipped: when one prices in, as after a start from another
+        objective, the loop restarts from the all-slack basis, where none
+        does.  Dual pivots keep the reduced costs' signs up to rounding, so
+        the check is skipped until no basic is out of bounds, then made
+        once more; a pass that checks and finds no basic out of bounds
+        returns OPTIMAL.
+
+        Otherwise the basic with the largest bound violation leaves at the
+        bound it violates.  Its tableau row alpha = Binv[r] @ [A | I] gives
+        each column that can move x_r toward that bound a breakpoint
+        -d_j/alpha_j, where its reduced cost d_j would change sign.
+        Bound-flipping ratio test (Fourer, 1994): in breakpoint order, a
+        column is passed, i.e. flipped to its other bound, while the
+        violation left exceeds |alpha_j| (ub_j - lb_j); the first column
+        that cannot be passed enters.  When passing every column leaves x_r
+        out of bounds by more than FEASIBILITY_TOL, row r proves the LP
+        INFEASIBLE; by less, the last column enters.  After BLAND_AFTER
+        pivots, the lowest-index violated basic leaves and the lowest-index
+        column with the least breakpoint enters, passing none.
         """
-        phase, stall = 1, 0
+        check = True  # whether this pass flips the columns that price in
         while True:
-            if phase == 1:
-                below = self.xB < self.lb[self.basis] - FEASIBILITY_TOL
-                above = self.xB > self.ub[self.basis] + FEASIBILITY_TOL
-                if not (below.any() or above.any()):
-                    phase = 2  # both masks stay all False from here on
             if self.pivots > max_pivots:
-                raise LpIterationLimit(phase, self.pivots)
-            if phase == 1:
-                cost = np.zeros(self.ncols)
-                cost[self.basis[above]] = 1.0
-                cost[self.basis[below]] = -1.0
-            else:
-                cost = self.c
-            d = self.reduced_costs(cost)
-            choice = self._choose_entering(d)
-            if choice is None:
-                return LpStatus.INFEASIBLE if phase == 1 else LpStatus.OPTIMAL
-            q, sigma = choice
-            u = self.entering_column(q)
-            t, r, leave_up = self._ratio_test(u, sigma, q, below, above)
-            if not np.isfinite(t):
-                if phase == 2:
-                    return LpStatus.UNBOUNDED
-                # cannot happen in exact arithmetic while infeasible; re-anchor
-                stall += 1
-                self.refactor()
-                if stall > 3:
-                    raise LpIterationLimit(1, self.pivots)
+                raise LpIterationLimit(self.pivots)
+            d = self.reduced_costs()
+            free = ~(self.is_basic | self.fixed)  # the nonbasic columns that can move
+            if check:
+                cols = np.flatnonzero(free & (np.where(self.at_upper, -d, d) < -REDUCED_COST_TOL))
+                if np.isinf(self.ub[cols]).any():
+                    self.set_basis(np.arange(self.nv, self.ncols))  # the all-slack basis
+                    continue
+                if cols.size:
+                    self._flip(cols)
+            lb, ub = self.lb[self.basis], self.ub[self.basis]
+            violation = np.maximum(lb - self.xB, self.xB - ub)
+            if violation.max(initial=0.0) <= FEASIBILITY_TOL:
+                if check:
+                    return LpStatus.OPTIMAL
+                check = True
                 continue
-            stall = 0
-            self._apply_pivot(q, sigma, t, r, leave_up, u)
+            check = False
+            bland = self.pivots >= BLAND_AFTER
+            if bland:
+                rows = np.flatnonzero(violation > FEASIBILITY_TOL)
+                r = int(rows[np.argmin(self.basis[rows])])
+            else:
+                r = int(np.argmax(violation))
+            rising = bool(self.xB[r] < lb[r])
+            # sign-adjusted row: raising column j moves x_r toward its bound iff alpha_j < 0
+            alpha = self.price(self.Binv[r]) * (1.0 if rising else -1.0)
+            idx = np.flatnonzero(free & (np.where(self.at_upper, -alpha, alpha) < -PIVOT_TOL))
+            step = np.maximum(-d[idx] / alpha[idx], 0.0)  # the breakpoints
+            # ties break toward the larger |alpha|, the more stable pivot (Bland: the lower index)
+            order = idx[np.lexsort((idx if bland else -np.abs(alpha[idx]), step))]
+            width = np.abs(alpha[order]) * (self.ub[order] - self.lb[order])
+            reach = np.cumsum(width)  # how far passing order[:k + 1] moves x_r
+            if reach.size == 0 or reach[-1] < violation[r] - FEASIBILITY_TOL:
+                return LpStatus.INFEASIBLE  # passing every column leaves x_r out of bounds
+            k = 0 if bland else min(int(np.searchsorted(reach, violation[r])), len(order) - 1)
+            if k:
+                self._flip(order[:k])
+            q = int(order[k])
+            u = self.entering_column(q)
+            target = lb[r] if rising else ub[r]
+            self._apply_pivot(q, r, (self.xB[r] - target) / u[r], not rising, u)
 
     def residual(self) -> float:
         x = self.full_values()
@@ -428,15 +367,14 @@ def solve(lp: SparseLp, start: LpSolution | None = None,
     objective.  A start with more rows or more variables than the LP
     raises LpDimensionError.
 
-    When the starting basis is dual feasible, the dual loop runs first;
-    the primal loop then reaches the verdict.  ``max_pivots`` bounds the
-    pivots of both loops together.
+    The verdict, OPTIMAL or INFEASIBLE, comes from _Simplex.run.  An
+    OPTIMAL basis is checked against a fresh inverse and solved on from
+    where it stands when the check fails.  Past ``max_pivots`` pivots in
+    all, LpIterationLimit is raised.
     """
     ws = _Simplex(lp, start)
     if max_pivots is None:
         max_pivots = 2000 + 40 * ws.ncols
-    if ws.dual_feasible():
-        ws.run_dual(max_pivots)
     status = ws.run(max_pivots)
     repairs = 0
     while status is LpStatus.OPTIMAL:

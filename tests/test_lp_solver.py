@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from gaplab import lp_solver
 from gaplab.instances import pairwise_distances
 from gaplab.lp_solver import (
     FEASIBILITY_TOL,
@@ -139,23 +140,46 @@ def test_variable_in_no_row_goes_to_its_cost_optimal_bound():
 
 
 def test_iteration_limit_is_not_infeasible():
-    # one equality row: phase 1 makes it feasible in one pivot, and phase 2
-    # then finds the budget spent
+    # one equality row: both columns price in and flip to 1, one dual pivot
+    # makes the row feasible, and the next pass finds the budget spent
     lp = SparseLp(objective=np.array([-1.0, -1.0]),
                   eq_rows=[sparse_row([1.0, 1.0], 1.0)],
                   var_bounds=bounds(2))
     with pytest.raises(LpIterationLimit) as raised:
         solve(lp, max_pivots=0)
-    assert (raised.value.phase, raised.value.pivots) == (2, 1)
-    # two disjoint equality rows need two phase-1 pivots (a right-hand side
-    # of 1 would be met by bound flips, which are not pivots)
+    assert raised.value.pivots == 1
+    # two disjoint equality rows need two dual pivots (a right-hand side of
+    # 1 would be met by bound flips, which are not pivots)
     lp = SparseLp(objective=np.array([1.0, 1.0]),
                   eq_rows=[sparse_row([1.0, 0.0], 0.5), sparse_row([0.0, 1.0], 0.5)],
                   var_bounds=bounds(2))
     with pytest.raises(LpIterationLimit) as raised:
         solve(lp, max_pivots=0)
-    assert (raised.value.phase, raised.value.pivots) == (1, 1)
+    assert raised.value.pivots == 1
     assert solve(lp).status is LpStatus.OPTIMAL
+
+
+def test_passable_width_short_by_rounding_only_is_feasible():
+    # 0.1 * 0.29 rounds below 0.029: passing x to its upper bound leaves the
+    # row 3.5e-18 short, far inside the feasibility tolerance, so x enters
+    lp = SparseLp(objective=np.array([1.0]), eq_rows=[sparse_row([0.1], 0.029)],
+                  var_bounds=[(0.0, 0.29)])
+    sol = solve(lp)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.values == pytest.approx([0.29], abs=1e-12)
+
+
+def test_start_from_another_objective():
+    # the optimum of min -x subject to x <= 0.5 has x basic at 0.5 and the
+    # row's slack nonbasic; under min x that slack prices in, and since it
+    # has no upper bound to flip to, the solve restarts from the all-slack basis
+    row = [sparse_row([1.0], 0.5)]
+    first = solve(SparseLp(objective=np.array([-1.0]), ineq_rows=row, var_bounds=bounds(1)))
+    assert first.status is LpStatus.OPTIMAL and first.values == pytest.approx([0.5])
+    sol = solve(SparseLp(objective=np.array([1.0]), ineq_rows=row, var_bounds=bounds(1)),
+                start=first)
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.objective_value == 0.0 and list(sol.values) == [0.0]
 
 
 def test_optimal_only_after_a_passing_residual_check(monkeypatch):
@@ -220,19 +244,77 @@ def assert_duals_certify(lp, sol, case):
     assert b @ y + bound_terms == pytest.approx(sol.objective_value, abs=1e-9), f"case {case}"
 
 
-def test_random_lps_match_scipy(rng):
+def assert_matches_highs(lp, sol, case):
+    """sol has the status of a scipy HiGHS solve of lp (0 optimal, 2
+    infeasible) and, when OPTIMAL, its objective and a feasible point."""
     linprog = pytest.importorskip("scipy.optimize").linprog
+    nv = lp.n_vars
+    A_ub, b_ub = dense_rows(lp.ineq_rows, nv) if lp.ineq_rows else (None, None)
+    A_eq, b_eq = dense_rows(lp.eq_rows, nv) if lp.eq_rows else (None, None)
+    ref = linprog(lp.objective, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                  bounds=lp.var_bounds, method="highs")
+    assert ref.status in (0, 2), f"case {case}"
+    assert sol.status is (LpStatus.OPTIMAL if ref.status == 0 else LpStatus.INFEASIBLE), f"case {case}"
+    if ref.status == 0:
+        replay_feasibility(lp, sol)
+        assert sol.objective_value == pytest.approx(ref.fun, abs=1e-7, rel=1e-7), f"case {case}"
+
+
+def test_random_lps_match_scipy(rng):
     for k, lp in random_lp_corpus(rng):
-        nv = lp.n_vars
         sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL, f"case {k}"
-        replay_feasibility(lp, sol)
-        A_ub, b_ub = dense_rows(lp.ineq_rows, nv) if lp.ineq_rows else (None, None)
-        A_eq, b_eq = dense_rows(lp.eq_rows, nv) if lp.eq_rows else (None, None)
-        ref = linprog(lp.objective, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                      bounds=lp.var_bounds, method="highs")
-        assert ref.status == 0
-        assert sol.objective_value == pytest.approx(ref.fun, abs=1e-7, rel=1e-7), f"case {k}"
+        assert_matches_highs(lp, sol, k)
+
+
+def mixed_lp_corpus(rng, count=120):
+    """(k, lp) for count seeded random LPs with costs of both signs, about a
+    quarter of them infeasible: a row pair a.x <= t, a.x >= t + delta, each
+    satisfiable over the bounds alone, is added to the constraints."""
+    for k, lp in random_lp_corpus(rng, count):
+        if rng.uniform() < 0.25:
+            a = rng.normal(size=lp.n_vars)
+            lo, hi = np.asarray(lp.var_bounds).T
+            least, most = np.minimum(a * lo, a * hi).sum(), np.maximum(a * lo, a * hi).sum()
+            t = rng.uniform(least, most)
+            delta = rng.uniform(0.05, 0.5) * (most - least)
+            lp = grown_by(lp, [sparse_row(a, t), sparse_row(-a, -t - delta)])
+        yield k, lp
+
+
+def grown_by_row_and_column(lp, rng, x):
+    """lp with one variable appended to every row and one inequality row
+    appended after them; the row cuts x (padded with the new variable at 0)
+    off or keeps it, by a random margin."""
+    nv = lp.n_vars
+    col = rng.normal(size=len(lp.eq_rows) + len(lp.ineq_rows))
+    rows = [(np.append(c, nv), np.append(v, col[r]), rhs)
+            for r, (c, v, rhs) in enumerate(list(lp.eq_rows) + list(lp.ineq_rows))]
+    a = rng.normal(size=nv + 1)
+    cut = sparse_row(a, float(a[:nv] @ x) - rng.uniform(-0.2, 0.5))
+    return SparseLp(objective=np.append(lp.objective, rng.normal()),
+                    eq_rows=rows[:len(lp.eq_rows)], ineq_rows=rows[len(lp.eq_rows):] + [cut],
+                    var_bounds=list(lp.var_bounds) + [(0.0, float(rng.uniform(0.5, 2.0)))])
+
+
+def check_mixed_corpus_against_highs(rng):
+    """Cold solves of mixed_lp_corpus, then warm solves after one appended
+    row and column, against HiGHS.  Both verdicts must be well represented:
+    between 20 and 100 of the 120 LPs are infeasible, cold and warm."""
+    infeasible = [0, 0]
+    for k, lp in mixed_lp_corpus(rng):
+        cold = solve(lp)
+        assert_matches_highs(lp, cold, k)
+        grown = grown_by_row_and_column(lp, rng, cold.values)
+        warm = solve(grown, start=cold)
+        assert_matches_highs(grown, warm, f"{k} warm")
+        infeasible[0] += cold.status is LpStatus.INFEASIBLE
+        infeasible[1] += warm.status is LpStatus.INFEASIBLE
+    assert 20 <= min(infeasible) and max(infeasible) <= 100
+
+
+def test_mixed_lps_match_highs_cold_and_warm(rng):
+    check_mixed_corpus_against_highs(rng)
 
 
 def test_warm_start_after_adding_rows(rng):
@@ -309,12 +391,15 @@ def grown_by(lp, rows):
 
 
 def dual_pass(lp, start=None):
-    """The dual loop alone, from a start that must be dual feasible; its
-    basics must match those recomputed from a fresh inverse, so bound flips
-    and pivots kept them in step.  Returns the working state."""
+    """The pivot loop alone, from a start that must be dual feasible (no
+    nonbasic column prices in); its basics must match those recomputed from
+    a fresh inverse, so bound flips and pivots kept them in step.  Returns
+    the working state."""
     ws = _Simplex(lp, start)
-    assert ws.dual_feasible()
-    ws.run_dual(max_pivots=10_000)
+    d = ws.reduced_costs()
+    prices_in = np.where(ws.at_upper, d > REDUCED_COST_TOL, d < -REDUCED_COST_TOL)
+    assert not (prices_in & ~ws.is_basic & ~ws.fixed).any()
+    ws.run(max_pivots=10_000)
     kept = ws.xB.copy()
     ws.refactor()
     assert kept == pytest.approx(ws.xB, abs=1e-9)
@@ -368,7 +453,7 @@ def test_bound_flipping_ratio_test_passes_breakpoints(rng):
     sol = solve(lp)
     assert sol.objective_value == pytest.approx(4.5, abs=1e-12)
     # feasible boxed LPs with nonnegative costs, where the dual loop puts
-    # columns at their upper bounds: its result matches the primal loop's
+    # columns at their upper bounds: its optimum matches HiGHS
     at_upper = 0
     for k in range(30):
         nv, m = int(rng.integers(4, 10)), int(rng.integers(1, 4))
@@ -379,46 +464,29 @@ def test_bound_flipping_ratio_test_passes_breakpoints(rng):
                       eq_rows=[sparse_row(row, row @ x0) for row in rows],
                       var_bounds=[(0.0, float(u)) for u in ub])
         at_upper += bool(dual_pass(lp).at_upper[:nv].any())
-        primal = _Simplex(lp)
-        assert primal.run(10_000) is LpStatus.OPTIMAL, f"case {k}"
         sol = solve(lp)
         assert sol.status is LpStatus.OPTIMAL, f"case {k}"
-        assert sol.objective_value == pytest.approx(lp.objective @ primal.full_values()[:nv],
-                                                    abs=1e-9), f"case {k}"
+        assert_matches_highs(lp, sol, k)
     assert at_upper >= 10
 
 
-def test_subtour_cold_and_cut_solves_enter_the_dual_loop(monkeypatch):
-    # a silent fall-back to the primal loop keeps every value, so spy on it:
-    # the cold solve and every re-solve after cuts run dual pivots, and the
-    # re-solves after pricing, whose new columns price in, run none
-    import gaplab.subtour as sub
-    run_dual, dual_pivots, calls = _Simplex.run_dual, [], []
 
-    def spy(self, max_pivots):
-        before = self.pivots
-        run_dual(self, max_pivots)
-        dual_pivots.append(self.pivots - before)
+def test_optimum_is_confirmed_by_pricing_again(monkeypatch):
+    # the loop flips the columns that price in on its first pass and checks
+    # again only once no basic is out of bounds.  A cost changed after the
+    # first pivot stands in for rounding drift: x3 then prices in, and the
+    # second check must flip it before OPTIMAL
+    lp = SparseLp(objective=np.array([1.0, 2.0, 3.0, 4.0]),
+                  eq_rows=[sparse_row([1.0, 1.0, 1.0, 1.0], 2.5)], var_bounds=bounds(4))
+    apply_pivot = _Simplex._apply_pivot
 
-    def recording_solve(lp, start=None, **kwargs):
-        dual_pivots.clear()
-        sol = solve(lp, start=start, **kwargs)
-        if start is None:
-            kind = "cold"
-        elif lp.n_vars > len(start.at_upper) - len(start.basis):
-            kind = "pricing"
-        else:
-            kind = "cuts"
-        calls.append((kind, list(dual_pivots)))
-        return sol
-    monkeypatch.setattr(_Simplex, "run_dual", spy)
-    monkeypatch.setattr(sub.lp_solver, "solve", recording_solve)
-    sub.solve_subtour_lp(np.random.default_rng(5).uniform(0, 100, (40, 2)))
-    kinds = [kind for kind, _ in calls]
-    assert kinds.count("cold") == 1 and kinds.count("cuts") >= 5 and "pricing" in kinds
-    for kind, pivots in calls:
-        assert pivots == [] if kind == "pricing" else len(pivots) == 1 and pivots[0] > 0
-
+    def drifting_pivot(self, *args):
+        apply_pivot(self, *args)
+        self.c[3] = -10.0
+    monkeypatch.setattr(_Simplex, "_apply_pivot", drifting_pivot)
+    ws = _Simplex(lp)
+    assert ws.run(max_pivots=100) is LpStatus.OPTIMAL
+    assert ws.full_values()[:4] == pytest.approx([1.0, 0.5, 0.0, 1.0])
 
 def test_determinism(rng):
     lp = random_feasible_lp(rng, 10, me=3, mi=3)
@@ -441,29 +509,41 @@ def test_redundant_equality_rows(rng):
     replay_feasibility(lp, sol)
 
 
-def test_degenerate_transportation_like(rng):
-    # many tied basic solutions; exercises degenerate pivots and Bland fallback
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    for _ in range(20):
+def transportation_lps(rng, count=20):
+    """Balanced a x b transportation LPs with small integer costs: many tied
+    basic solutions, so many degenerate pivots."""
+    for _ in range(count):
         a, b = int(rng.integers(2, 5)), int(rng.integers(2, 5))
         nv = a * b
-        c = rng.integers(1, 5, size=nv).astype(float)
         eq = []
         for i in range(a):
             row = np.zeros(nv)
             row[i * b:(i + 1) * b] = 1.0
-            eq.append((row, 1.0))
+            eq.append(sparse_row(row, 1.0))
         for j in range(b):
             row = np.zeros(nv)
             row[j::b] = 1.0
-            eq.append((row, a / b))
-        lp = SparseLp(objective=c, eq_rows=[sparse_row(r, v) for r, v in eq], var_bounds=bounds(nv))
+            eq.append(sparse_row(row, a / b))
+        yield SparseLp(objective=rng.integers(1, 5, size=nv).astype(float), eq_rows=eq,
+                       var_bounds=bounds(nv))
+
+
+def test_degenerate_transportation_like(rng):
+    # degenerate pivots under the default rules; the Bland fallback is
+    # covered by test_bland_fallback_matches_highs
+    for k, lp in enumerate(transportation_lps(rng)):
         sol = solve(lp)
-        ref = linprog(c, A_eq=np.array([r for r, _ in eq]),
-                      b_eq=np.array([v for _, v in eq]),
-                      bounds=lp.var_bounds, method="highs")
-        assert sol.status is LpStatus.OPTIMAL and ref.status == 0
-        assert sol.objective_value == pytest.approx(ref.fun, abs=1e-7)
+        assert sol.status is LpStatus.OPTIMAL, f"case {k}"
+        assert_matches_highs(lp, sol, k)
+
+
+def test_bland_fallback_matches_highs(rng, monkeypatch):
+    # with BLAND_AFTER = 0 every pivot follows Bland's rule: the
+    # lowest-index violated basic leaves, nothing is passed
+    monkeypatch.setattr(lp_solver, "BLAND_AFTER", 0)
+    for k, lp in enumerate(transportation_lps(rng)):
+        assert_matches_highs(lp, solve(lp), k)
+    check_mixed_corpus_against_highs(rng)
 
 
 def test_objective_never_exceeds_external_feasible_point(rng):

@@ -446,7 +446,8 @@ def test_cutting_plane_pivot_path_on_g18(monkeypatch):
     assert x.objective_value == pytest.approx(closed_form_lp_value(18, math.sqrt(17)), abs=1e-7)
     # many cuts: the warm starts begin the dual loop with violated cut
     # slacks, basics below their lower bound; the second and seventh solves
-    # follow pricing, and run primal
+    # follow pricing: the new edges that price in flip to their upper bound
+    # first, and the dual loop repairs the degree rows they overfill
     calls.clear()
     x, cuts = solve_subtour_lp(np.random.default_rng(5).uniform(0, 100, (40, 2)))
     assert [sol.pivots for _start, sol in calls] == [54, 1, 13, 7, 2, 2, 1, 2]
