@@ -9,20 +9,25 @@ Only the basis matrix and its inverse are dense (rows x rows).
 
 Every row (equality or <=) receives an internal slack column; the slacks
 form an identity block that is never stored.  Equality slacks are fixed
-at zero, so the all-slack basis always exists.  A warm start is the
-LpSolution of the same LP before rows were appended to its row list or
-variables to its objective: its basis is reused, the new rows' slacks
-join it, and the new variables enter nonbasic at their lower bound.
+at zero.  A cold solve starts from a triangular crash basis (Bixby,
+"Implementing the simplex method: the initial basis", 1992): the
+all-slack basis with cheap structural columns in place of equality
+slacks, chosen so that the basis matrix is triangular up to a
+permutation.  A warm start is the LpSolution of the same LP before rows
+were appended to its row list or variables to its objective: its basis
+is reused, the new rows' slacks join it, and the new variables enter
+nonbasic at their lower bound.
 
 One pivot loop reaches every verdict: the dual simplex with the
 bound-flipping ratio test.  Every structural column is boxed, so flipping
 the columns that price in to their other bounds makes a basis dual
-feasible unless an inequality slack prices in, and then the all-slack
-basis is taken instead; the dual pivots drive the basics into their
-bounds (OPTIMAL) or find a row that no setting of the nonbasics can
-satisfy (INFEASIBLE).  A boxed LP has no UNBOUNDED verdict.  An optimal solution
-carries the row duals y = c_B B^-1 of its basis, so a caller can price
-columns it has not yet added: c_j - y . A_j.
+feasible unless an inequality slack prices in, and then the crash basis,
+where every inequality slack is basic, is taken instead; the dual pivots
+drive the basics into their bounds (OPTIMAL) or find a row that no
+setting of the nonbasics can satisfy (INFEASIBLE).  A boxed LP has no
+UNBOUNDED verdict.  An optimal solution carries the row duals
+y = c_B B^-1 of its basis, so a caller can price columns it has not yet
+added: c_j - y . A_j.
 
 Objective entries, row values and right-hand sides must be finite.
 OPTIMAL means the basics, recomputed from a fresh inverse, passed the
@@ -40,6 +45,7 @@ REDUCED_COST_TOL = 1e-7   # dual sign certificate at optimality
 PIVOT_TOL = 1e-10         # smallest pivot magnitude accepted in the ratio test
 BLAND_AFTER = 5000        # pivot count after which Bland's rule takes over
 REFRESH_EVERY = 120       # pivots between basis-inverse refactorizations
+CRASH_PIVOT_RATIO = 0.1   # a crash pivot's least size next to its column's largest entry
 
 
 class LpStatus(Enum):
@@ -168,20 +174,63 @@ class _Simplex:
         self.pivots = 0
         # fixed columns (lb == ub, i.e. equality slacks) never enter the basis
         self.fixed = self.ub - self.lb <= 0
-        # the all-slack basis, or start's basis with the slacks of the rows appended
-        # since; start's slack columns move past the variables appended since
-        basis = np.arange(self.nv, self.ncols)
         self.at_upper = np.zeros(self.ncols, dtype=bool)
-        if start is not None:
+        if start is None:  # a cold solve: the crash basis, every nonbasic at its lower bound
+            basis = self._cold_basis()
+        else:
+            # start's basis with the slacks of the rows appended since; start's
+            # slack columns move past the variables appended since
             k, nv0 = len(start.basis), len(start.at_upper) - len(start.basis)
             if k > self.m or nv0 > self.nv:
                 raise LpDimensionError(
                     f"start has {k} rows and {nv0} variables; "
                     f"the LP has {self.m} rows and {self.nv} variables")
+            basis = np.arange(self.nv, self.ncols)
             basis[:k] = np.where(start.basis < nv0, start.basis, start.basis + self.nv - nv0)
             self.at_upper[:nv0] = start.at_upper[:nv0]
             self.at_upper[self.nv: self.nv + k] = start.at_upper[nv0:]
         self.set_basis(basis)
+
+    def _cold_basis(self) -> np.ndarray:
+        """The cold-start basis: a triangular crash (Bixby, 1992).
+
+        Start from the slack basis and walk the structural columns in
+        ascending cost, ties to the lower index.  Column j replaces the
+        fixed slack of equality row r when no column accepted so far has a
+        nonzero in row r, no row of j is an accepted column's pivot row, and
+        |a_rj| >= CRASH_PIVOT_RATIO * max_i |a_ij|; of several such rows, r
+        has the largest |a_rj|, ties to the lower index.  Fixed and empty
+        columns are left out, and so are columns that list a row twice
+        (whose entries add).  The accepted columns are then zero in each
+        other's pivot rows, so B is triangular up to a permutation with a
+        nonzero diagonal: nonsingular by construction.  Inequality slacks
+        stay basic, so none prices in here.
+        """
+        size = np.abs(self.data)
+        largest = np.zeros(self.nv)
+        np.maximum.at(largest, self.nzcol, size)
+        size[size < CRASH_PIVOT_RATIO * largest[self.nzcol]] = 0.0  # too small to pivot on
+        skip = self.fixed[: self.nv] | (np.diff(self.indptr) == 0)
+        skip[self.nzcol[1:][(np.diff(self.nzcol) == 0) & (np.diff(self.rowind) == 0)]] = True
+        basis = np.arange(self.nv, self.ncols)
+        closed = ~self.fixed[self.nv:]        # inequality rows, and rows an accepted column touches
+        pivot = np.zeros(self.m, dtype=bool)  # the accepted columns' pivot rows
+        open_rows = np.count_nonzero(~closed)
+        for j in np.argsort(self.c[: self.nv], kind="stable"):
+            if not open_rows:
+                break
+            lo, hi = self.indptr[j], self.indptr[j + 1]
+            rows = self.rowind[lo:hi]
+            if skip[j] or pivot[rows].any():
+                continue
+            free = np.where(closed[rows], 0.0, size[lo:hi])
+            k = np.argmax(free)
+            if free[k] > 0.0:
+                basis[rows[k]] = j
+                pivot[rows[k]] = True
+                open_rows -= np.count_nonzero(~closed[rows])
+                closed[rows] = True
+        return basis
 
     # -- sparse kernels over [A | I] ------------------------------------------
 
@@ -286,11 +335,11 @@ class _Simplex:
         other bound, which makes the basis dual feasible (the dual phase 1
         of a boxed LP).  An inequality slack, unbounded above, cannot be
         flipped: when one prices in, as after a start from another
-        objective, the loop restarts from the all-slack basis, where none
-        does.  Dual pivots keep the reduced costs' signs up to rounding, so
-        the check is skipped until no basic is out of bounds, then made
-        once more; a pass that checks and finds no basic out of bounds
-        returns OPTIMAL.
+        objective, the loop restarts from the crash basis of _cold_basis,
+        where every inequality slack is basic and none can.  Dual pivots
+        keep the reduced costs' signs up to rounding, so the check is
+        skipped until no basic is out of bounds, then made once more; a
+        pass that checks and finds no basic out of bounds returns OPTIMAL.
 
         Otherwise the basic with the largest bound violation leaves at the
         bound it violates.  Its tableau row alpha = Binv[r] @ [A | I] gives
@@ -314,7 +363,7 @@ class _Simplex:
             if check:
                 cols = np.flatnonzero(free & (np.where(self.at_upper, -d, d) < -REDUCED_COST_TOL))
                 if np.isinf(self.ub[cols]).any():
-                    self.set_basis(np.arange(self.nv, self.ncols))  # the all-slack basis
+                    self.set_basis(self._cold_basis())
                     continue
                 if cols.size:
                     self._flip(cols)

@@ -139,14 +139,31 @@ def test_variable_in_no_row_goes_to_its_cost_optimal_bound():
     assert sol.objective_value == pytest.approx(7.5)
 
 
+def slack_start(lp):
+    """The working state of lp on the all-slack basis, in place of the
+    crash basis a cold solve starts from."""
+    ws = _Simplex(lp)
+    ws.set_basis(np.arange(ws.nv, ws.ncols))
+    return ws
+
+
 def test_iteration_limit_is_not_infeasible():
-    # one equality row: both columns price in and flip to 1, one dual pivot
-    # makes the row feasible, and the next pass finds the budget spent
+    # the crash basis puts x0 basic at 1.5, above its bound: one dual pivot
+    # makes it leave at 1 with x1 entering at 0.5, and the next pass finds
+    # the budget spent
+    lp = SparseLp(objective=np.array([1.0, 1.0]), eq_rows=[sparse_row([1.0, 1.0], 1.5)],
+                  var_bounds=bounds(2))
+    with pytest.raises(LpIterationLimit) as raised:
+        solve(lp, max_pivots=0)
+    assert raised.value.pivots == 1
+    assert solve(lp).status is LpStatus.OPTIMAL
+    # from the all-slack basis, one equality row: both columns price in and
+    # flip to 1, and one dual pivot makes the row feasible
     lp = SparseLp(objective=np.array([-1.0, -1.0]),
                   eq_rows=[sparse_row([1.0, 1.0], 1.0)],
                   var_bounds=bounds(2))
     with pytest.raises(LpIterationLimit) as raised:
-        solve(lp, max_pivots=0)
+        slack_start(lp).run(max_pivots=0)
     assert raised.value.pivots == 1
     # two disjoint equality rows need two dual pivots (a right-hand side of
     # 1 would be met by bound flips, which are not pivots)
@@ -154,9 +171,9 @@ def test_iteration_limit_is_not_infeasible():
                   eq_rows=[sparse_row([1.0, 0.0], 0.5), sparse_row([0.0, 1.0], 0.5)],
                   var_bounds=bounds(2))
     with pytest.raises(LpIterationLimit) as raised:
-        solve(lp, max_pivots=0)
+        slack_start(lp).run(max_pivots=0)
     assert raised.value.pivots == 1
-    assert solve(lp).status is LpStatus.OPTIMAL
+    assert slack_start(lp).run(max_pivots=2) is LpStatus.OPTIMAL
 
 
 def test_passable_width_short_by_rounding_only_is_feasible():
@@ -180,6 +197,104 @@ def test_start_from_another_objective():
                 start=first)
     assert sol.status is LpStatus.OPTIMAL
     assert sol.objective_value == 0.0 and list(sol.values) == [0.0]
+
+
+def is_permuted_triangular(B):
+    """Whether some row and column order makes B triangular with a nonzero
+    diagonal: peel off a column with one nonzero in the rows left, and that
+    row, until none is left."""
+    rows, cols = set(range(len(B))), set(range(len(B)))
+    while cols:
+        for j in cols:
+            nonzero = [i for i in rows if B[i, j] != 0.0]
+            if len(nonzero) == 1:
+                break
+        else:
+            return False
+        rows.remove(nonzero[0])
+        cols.remove(j)
+    return True
+
+
+def sparse_lp_corpus(rng, count=60):
+    """(k, lp) for count seeded feasible LPs of 6 to 20 variables with
+    sparse rows, mostly equalities, and costs of both signs."""
+    for k in range(count):
+        nv, me, mi = int(rng.integers(6, 21)), int(rng.integers(1, 9)), int(rng.integers(0, 4))
+        x0 = rng.uniform(0.0, 1.0, nv)
+        rows = [(rng.uniform(size=nv) < 0.3) * rng.normal(size=nv) for _ in range(me + mi)]
+        yield k, SparseLp(objective=rng.normal(size=nv),
+                          eq_rows=[sparse_row(a, a @ x0) for a in rows[:me]],
+                          ineq_rows=[sparse_row(a, a @ x0 + 0.1) for a in rows[me:]],
+                          var_bounds=bounds(nv))
+
+
+def test_crash_basis_is_triangular_over_equality_rows(rng):
+    # the cold basis replaces equality slacks only, every inequality slack
+    # stays basic, and B is triangular up to a permutation
+    crashed = 0
+    for k, lp in [(-1, square_degree_lp()[0]), *sparse_lp_corpus(rng)]:
+        ws = _Simplex(lp)
+        n_eq = len(lp.eq_rows)
+        structural = np.flatnonzero(ws.basis < ws.nv)
+        assert (structural < n_eq).all(), f"case {k}"
+        assert list(ws.basis[n_eq:]) == list(range(ws.nv + n_eq, ws.ncols)), f"case {k}"
+        B = ws.basis_matrix()
+        assert is_permuted_triangular(B), f"case {k}"
+        assert np.linalg.matrix_rank(B) == ws.m, f"case {k}"
+        crashed += structural.size
+        assert_matches_highs(lp, solve(lp), k)
+    assert crashed >= 100
+
+
+def test_crash_keeps_the_slack_basis_without_equality_rows(rng):
+    for k, lp in random_lp_corpus(rng, 30):
+        lp = SparseLp(objective=lp.objective, ineq_rows=lp.ineq_rows, var_bounds=lp.var_bounds)
+        ws = _Simplex(lp)
+        assert list(ws.basis) == list(range(ws.nv, ws.ncols)), f"case {k}"
+
+
+def test_crash_rejects_a_tiny_pivot():
+    # x0, the cheapest column, has 1e-12 in the equality row next to 1 in
+    # the inequality row: it cannot replace the equality slack, x1 does
+    lp = SparseLp(objective=np.array([0.0, 1.0]),
+                  eq_rows=[sparse_row([1e-12, 1.0], 0.5)], ineq_rows=[sparse_row([1.0, 0.0], 1.0)],
+                  var_bounds=bounds(2))
+    assert list(_Simplex(lp).basis) == [1, 3]
+    sol = solve(lp)
+    assert sol.status is LpStatus.OPTIMAL and sol.values == pytest.approx([0.0, 0.5])
+
+
+def test_crash_skips_a_column_whose_repeated_entries_cancel():
+    # x0's two entries in the row add to zero: as a pivot it would make B singular
+    lp = SparseLp(objective=np.array([0.0, 1.0]),
+                  eq_rows=[(np.array([0, 0, 1]), np.array([1.0, -1.0, 1.0]), 0.5)],
+                  var_bounds=bounds(2))
+    assert list(_Simplex(lp).basis) == [1]
+    assert solve(lp).values == pytest.approx([0.0, 0.5])
+
+
+def test_restart_ends_on_the_crash_basis(monkeypatch):
+    # from the optimum of min x0 + 2 x1 - x2, the slack of x2 <= 0.5 is
+    # nonbasic and prices in under min x0 + 2 x1 + x2: the loop restarts on
+    # the crash basis, x0 in place of the equality slack and the
+    # inequality slack basic
+    eq, ineq = [sparse_row([1.0, 1.0, 0.0], 1.0)], [sparse_row([0.0, 0.0, 1.0], 0.5)]
+    first = solve(SparseLp(objective=np.array([1.0, 2.0, -1.0]), eq_rows=eq, ineq_rows=ineq,
+                           var_bounds=bounds(3)))
+    assert list(first.basis) == [0, 2]
+    lp = SparseLp(objective=np.array([1.0, 2.0, 1.0]), eq_rows=eq, ineq_rows=ineq,
+                  var_bounds=bounds(3))
+    cold = list(_Simplex(lp).basis)
+    bases, set_basis = [], _Simplex.set_basis
+
+    def recording_set_basis(self, basis):
+        bases.append(list(basis))
+        set_basis(self, basis)
+    monkeypatch.setattr(_Simplex, "set_basis", recording_set_basis)
+    sol = solve(lp, start=first)
+    assert bases == [[0, 2], [0, 4]] and bases[-1] == cold
+    assert sol.status is LpStatus.OPTIMAL and sol.values == pytest.approx([1.0, 0.0, 0.0])
 
 
 def test_optimal_only_after_a_passing_residual_check(monkeypatch):
@@ -391,11 +506,11 @@ def grown_by(lp, rows):
 
 
 def dual_pass(lp, start=None):
-    """The pivot loop alone, from a start that must be dual feasible (no
-    nonbasic column prices in); its basics must match those recomputed from
-    a fresh inverse, so bound flips and pivots kept them in step.  Returns
-    the working state."""
-    ws = _Simplex(lp, start)
+    """The pivot loop alone, from start or else the all-slack basis, which
+    must be dual feasible (no nonbasic column prices in); its basics must
+    match those recomputed from a fresh inverse, so bound flips and pivots
+    kept them in step.  Returns the working state."""
+    ws = _Simplex(lp, start) if start is not None else slack_start(lp)
     d = ws.reduced_costs()
     prices_in = np.where(ws.at_upper, d > REDUCED_COST_TOL, d < -REDUCED_COST_TOL)
     assert not (prices_in & ~ws.is_basic & ~ws.fixed).any()

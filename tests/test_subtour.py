@@ -427,8 +427,9 @@ def test_solve_subtour_lp_deterministic(rng):
 
 def test_cutting_plane_pivot_path_on_g18(monkeypatch):
     # pins the pivot path: a solver change that keeps every value but pivots
-    # differently shows up here (72 = 63 dual pivots on the quadrant core +
-    # 9 dual pivots after the three cuts; no edge prices in)
+    # differently shows up here (37 = 21 dual pivots on the quadrant core
+    # from the crash basis + 16 dual pivots after the three cuts; no edge
+    # prices in)
     import gaplab.subtour as sub
     solve_lp, calls = sub.lp_solver.solve, []
 
@@ -438,22 +439,40 @@ def test_cutting_plane_pivot_path_on_g18(monkeypatch):
         return sol
     monkeypatch.setattr(sub.lp_solver, "solve", counting_solve)
     x, cuts = solve_subtour_lp(gline_instance(18, math.sqrt(17)))
-    assert [sol.pivots for _start, sol in calls] == [63, 9]
+    assert [sol.pivots for _start, sol in calls] == [21, 16]
     assert calls[0][0] is None
     assert all(start is prev for (start, _), (_, prev) in zip(calls[1:], calls))
     # the three cuts are the three rows of the grid
     assert sorted(sorted(c.subset) for c in cuts) == [list(range(k, k + 18)) for k in (0, 18, 36)]
     assert x.objective_value == pytest.approx(closed_form_lp_value(18, math.sqrt(17)), abs=1e-7)
     # many cuts: the warm starts begin the dual loop with violated cut
-    # slacks, basics below their lower bound; the second and seventh solves
-    # follow pricing: the new edges that price in flip to their upper bound
-    # first, and the dual loop repairs the degree rows they overfill
+    # slacks, basics below their lower bound; the second solve follows
+    # pricing: the new edge that prices in flips to its upper bound first,
+    # and the dual loop repairs the degree rows it overfills
     calls.clear()
     x, cuts = solve_subtour_lp(np.random.default_rng(5).uniform(0, 100, (40, 2)))
-    assert [sol.pivots for _start, sol in calls] == [54, 1, 13, 7, 2, 2, 1, 2]
+    assert [sol.pivots for _start, sol in calls] == [32, 1, 16, 8, 1, 3, 2]
     assert all(start is prev for (start, _), (_, prev) in zip(calls[1:], calls))
     assert len(cuts) == 13
     assert x.objective_value == pytest.approx(510.81997510781366, abs=1e-9)
+
+
+def test_cold_solve_of_g120_starts_from_the_crash_basis(monkeypatch):
+    # from the all-slack basis each degree row's fixed slack, basic at 2,
+    # must leave: about one pivot per row (369 at m = 360); the crash basis
+    # takes 21.  Fewer than m / 4 pivots shows the crash was not bypassed
+    import gaplab.subtour as sub
+    solve_lp, calls = sub.lp_solver.solve, []
+
+    def recording_solve(lp, start=None, **kwargs):
+        sol = solve_lp(lp, start=start, **kwargs)
+        calls.append((len(lp.eq_rows) + len(lp.ineq_rows), start, sol))  # the LP grows in place
+        return sol
+    monkeypatch.setattr(sub.lp_solver, "solve", recording_solve)
+    solve_subtour_lp(gline_instance(120, math.sqrt(119)))
+    m, start, sol = calls[0]
+    assert start is None and m == 360
+    assert sol.pivots < m / 4
 
 
 def independent_reduced_costs(points, duals, subsets):
