@@ -13,10 +13,14 @@ at zero.  A cold solve starts from a triangular crash basis (Bixby,
 "Implementing the simplex method: the initial basis", 1992): the
 all-slack basis with cheap structural columns in place of equality
 slacks, chosen so that the basis matrix is triangular up to a
-permutation.  A warm start is the LpSolution of the same LP before rows
-were appended to its row list or variables to its objective: its basis
-is reused, the new rows' slacks join it, and the new variables enter
-nonbasic at their lower bound.
+permutation, which gives its inverse in closed form.  A warm start is
+the LpSolution of the same LP before rows were appended to its row list
+or variables to its objective: its basis is reused, the new rows' slacks
+join it, and the new variables enter nonbasic at their lower bound.  The
+start carries the inverse of its basis, which is reused as it is when no
+row was appended and bordered by the new rows otherwise, so the basis
+matrix is inverted afresh only to refresh the product-form updates of
+the pivots and to check the final basis.
 
 One pivot loop reaches every verdict: the dual simplex with the
 bound-flipping ratio test.  Every structural column is boxed, so flipping
@@ -134,6 +138,10 @@ class LpSolution:
     at_upper: np.ndarray      # which nonbasic columns sit at their upper bound
     pivots: int
     duals: np.ndarray | None = None  # row duals c_B B^-1, eq_rows then ineq_rows; OPTIMAL only
+    # inverse of the final basis matrix, one row per basis position; solve(..., start=)
+    # borders or reuses it.  OPTIMAL: the fresh inverse of the residual check;
+    # INFEASIBLE: the pivots' updated inverse where the loop stopped
+    inverse: np.ndarray | None = field(default=None, repr=False)
 
 
 class _Simplex:
@@ -176,23 +184,37 @@ class _Simplex:
         self.fixed = self.ub - self.lb <= 0
         self.at_upper = np.zeros(self.ncols, dtype=bool)
         if start is None:  # a cold solve: the crash basis, every nonbasic at its lower bound
-            basis = self._cold_basis()
-        else:
-            # start's basis with the slacks of the rows appended since; start's
-            # slack columns move past the variables appended since
-            k, nv0 = len(start.basis), len(start.at_upper) - len(start.basis)
-            if k > self.m or nv0 > self.nv:
-                raise LpDimensionError(
-                    f"start has {k} rows and {nv0} variables; "
-                    f"the LP has {self.m} rows and {self.nv} variables")
-            basis = np.arange(self.nv, self.ncols)
-            basis[:k] = np.where(start.basis < nv0, start.basis, start.basis + self.nv - nv0)
-            self.at_upper[:nv0] = start.at_upper[:nv0]
-            self.at_upper[self.nv: self.nv + k] = start.at_upper[nv0:]
-        self.set_basis(basis)
+            self.set_basis(*self._cold_basis())
+            return
+        # start's basis with the slacks of the rows appended since; start's
+        # slack columns move past the variables appended since
+        k, nv0 = len(start.basis), len(start.at_upper) - len(start.basis)
+        if k > self.m or nv0 > self.nv:
+            raise LpDimensionError(
+                f"start has {k} rows and {nv0} variables; "
+                f"the LP has {self.m} rows and {self.nv} variables")
+        if start.inverse is None or start.inverse.shape != (k, k):
+            raise LpDimensionError(f"start carries no inverse of its {k}-row basis")
+        basis = np.arange(self.nv, self.ncols)
+        basis[:k] = np.where(start.basis < nv0, start.basis, start.basis + self.nv - nv0)
+        self.at_upper[:nv0] = start.at_upper[:nv0]
+        self.at_upper[self.nv: self.nv + k] = start.at_upper[nv0:]
+        # B = [[B0, 0], [R, I]] with R the appended rows on start's basic
+        # columns, so Binv = [[B0^-1, 0], [-R B0^-1, I]]; a copy of B0^-1
+        # when no row was appended
+        Binv = np.zeros((self.m, self.m))
+        Binv[:k, :k] = start.inverse
+        nzrow, nzpos, nzval = self._basic_entries(basis[:k])
+        new = nzrow >= k
+        R = np.bincount((nzrow[new] - k) * k + nzpos[new], weights=nzval[new],
+                        minlength=(self.m - k) * k).reshape(self.m - k, k)
+        Binv[k:, :k] = -(R @ start.inverse)
+        appended = np.arange(k, self.m)
+        Binv[appended, appended] = 1.0
+        self.set_basis(basis, Binv)
 
-    def _cold_basis(self) -> np.ndarray:
-        """The cold-start basis: a triangular crash (Bixby, 1992).
+    def _cold_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """The cold-start basis and its inverse: a triangular crash (Bixby, 1992).
 
         Start from the slack basis and walk the structural columns in
         ascending cost, ties to the lower index.  Column j replaces the
@@ -205,6 +227,12 @@ class _Simplex:
         other's pivot rows, so B is triangular up to a permutation with a
         nonzero diagonal: nonsingular by construction.  Inequality slacks
         stay basic, so none prices in here.
+
+        Column j sits in the position of its pivot row r, and every other
+        position holds its row's slack.  Over the pivot rows P and the rest
+        N, B = [[D, 0], [C, I]] with D diagonal, so Binv = [[D^-1, 0],
+        [-C D^-1, I]]: Binv[r, r] = 1 / a_rj and Binv[i, r] = -a_ij / a_rj
+        for the other rows i of j.
         """
         size = np.abs(self.data)
         largest = np.zeros(self.nv)
@@ -230,7 +258,14 @@ class _Simplex:
                 pivot[rows[k]] = True
                 open_rows -= np.count_nonzero(~closed[rows])
                 closed[rows] = True
-        return basis
+        rows, pos, vals = self._basic_entries(basis)
+        on_pivot = rows == pos
+        diagonal = np.ones(self.m)  # a_rj in a crash column's position, 1 in a slack's
+        diagonal[pos[on_pivot]] = vals[on_pivot]
+        Binv = np.diag(1.0 / diagonal)
+        off = ~on_pivot
+        Binv[rows[off], pos[off]] = -vals[off] / diagonal[pos[off]]
+        return basis, Binv
 
     # -- sparse kernels over [A | I] ------------------------------------------
 
@@ -259,25 +294,35 @@ class _Simplex:
         column = np.bincount(self.rowind[lo:hi], weights=self.data[lo:hi], minlength=self.m)
         return self.Binv @ column
 
+    def _basic_entries(self, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, position in basis, value) of every structural nonzero on the
+        columns of basis, in column-major order."""
+        position = np.full(self.ncols, -1)
+        position[basis] = np.arange(len(basis))
+        nzpos = position[self.nzcol]
+        basic = nzpos >= 0
+        return self.rowind[basic], nzpos[basic], self.data[basic]
+
     def basis_matrix(self) -> np.ndarray:
         """[A | I][:, basis], scattered from the sparse columns in one pass."""
         m, nv = self.m, self.nv
-        position = np.full(self.ncols, -1)
-        position[self.basis] = np.arange(m)
-        nzpos = position[self.nzcol]
-        basic = nzpos >= 0
-        B = np.bincount(self.rowind[basic] * m + nzpos[basic], weights=self.data[basic],
-                        minlength=m * m).reshape(m, m)
+        rows, pos, vals = self._basic_entries(self.basis)
+        B = np.bincount(rows * m + pos, weights=vals, minlength=m * m).reshape(m, m)
         slack = np.flatnonzero(self.basis >= nv)
         B[self.basis[slack] - nv, slack] = 1.0
         return B
 
     def refactor(self):
         """Invert the basis matrix afresh and recompute the basics from it."""
+        self.Binv = None  # the old inverse must not live through the inversion
         try:
             self.Binv = np.linalg.inv(self.basis_matrix())
         except np.linalg.LinAlgError as exc:
             raise LpDimensionError("singular basis matrix") from exc
+        self._compute_basics()
+
+    def _compute_basics(self):
+        """The basics from Binv, with the nonbasics at their bounds."""
         x = np.where(self.at_upper, self.ub, self.lb)
         x[self.basis] = 0.0
         self.xB = self.Binv @ (self.b - self.times(x))
@@ -289,12 +334,14 @@ class _Simplex:
 
     # -- pivoting -----------------------------------------------------------
 
-    def set_basis(self, basis: np.ndarray):
-        """Make basis the basis, keeping the nonbasics at their bounds."""
+    def set_basis(self, basis: np.ndarray, Binv: np.ndarray):
+        """Make basis the basis, with Binv the inverse of its basis matrix,
+        keeping the nonbasics at their bounds."""
         self.basis = basis
         self.is_basic = np.zeros(self.ncols, dtype=bool)
         self.is_basic[basis] = True
-        self.refactor()
+        self.Binv = Binv
+        self._compute_basics()
 
     def _flip(self, cols: np.ndarray):
         """Move the nonbasic columns cols to their other bounds, in one
@@ -363,7 +410,7 @@ class _Simplex:
             if check:
                 cols = np.flatnonzero(free & (np.where(self.at_upper, -d, d) < -REDUCED_COST_TOL))
                 if np.isinf(self.ub[cols]).any():
-                    self.set_basis(self._cold_basis())
+                    self.set_basis(*self._cold_basis())
                     continue
                 if cols.size:
                     self._flip(cols)
@@ -442,4 +489,5 @@ def solve(lp: SparseLp, start: LpSolution | None = None,
         values = np.clip(values, ws.lb[: ws.nv], ws.ub[: ws.nv])
         obj = float(ws.c[: ws.nv] @ values)
         duals = ws.c[ws.basis] @ ws.Binv
-    return LpSolution(status, values, obj, ws.basis.copy(), ws.at_upper.copy(), ws.pivots, duals)
+    return LpSolution(status, values, obj, ws.basis.copy(), ws.at_upper.copy(), ws.pivots, duals,
+                      ws.Binv)

@@ -256,6 +256,11 @@ def _quadrant_core(coords: np.ndarray, dist: np.ndarray) -> np.ndarray:
         pick |= hit & (np.cumsum(hit, axis=1, dtype=np.int32) <= CORE_NEIGHBOURS)
     np.put_along_axis(pick, order, pick.copy(), axis=1)  # back from distance order to point order
     i, j = np.nonzero(np.triu(pick | pick.T, 1))  # row-major: edge_endpoints order
+    return _edge_index(i, j, n)
+
+
+def _edge_index(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """The positions of the pairs (i, j), i < j, in :func:`edge_endpoints`."""
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
@@ -281,17 +286,18 @@ def _subtour_lp(n: int, I: np.ndarray, J: np.ndarray, costs: np.ndarray, subsets
 
 def _reduced_costs(costs: np.ndarray, I: np.ndarray, J: np.ndarray, n: int, duals: np.ndarray,
                    subsets) -> np.ndarray:
-    """c_e - y_i - y_j - sum_{S containing i, j} y_S for every edge (I, J),
-    from the duals of the degree rows, then of the subset rows."""
+    """c_e - y_i - y_j - sum_{S containing i, j} y_S for every edge (I, J) of
+    :func:`edge_endpoints`, from the duals of the degree rows, then of the
+    subset rows.  Each subset's dual is added over the edges inside it, so
+    no (points x points) array is built."""
     y = duals[:n]
-    potential = y[:, None] + y[None, :]
-    cut = np.flatnonzero(duals[n:])
-    if cut.size:
-        inside = np.zeros((cut.size, n))
-        for r, k in enumerate(cut):
-            inside[r, list(subsets[k])] = 1.0
-        potential += (inside.T * duals[n + cut]) @ inside
-    return costs - potential[I, J]
+    potential = y[I]
+    potential += y[J]
+    for k in np.flatnonzero(duals[n:]):
+        inside = np.array(sorted(subsets[k]))
+        a, b = np.triu_indices(len(inside), 1)
+        potential[_edge_index(inside[a], inside[b], n)] += duals[n + k]
+    return np.subtract(costs, potential, out=potential)
 
 
 def solve_subtour_lp(obj) -> tuple[EdgeValueMap, list[CutRecord]]:
@@ -325,8 +331,9 @@ def solve_subtour_lp(obj) -> tuple[EdgeValueMap, list[CutRecord]]:
             elif sol.status is not LpStatus.OPTIMAL:
                 raise SubtourSolveError(f"subtour LP solve returned {sol.status.value}")
             else:
-                reduced = _reduced_costs(costs, I, J, n, sol.duals, subsets)
-                new = np.flatnonzero((reduced < -REDUCED_COST_TOL) & ~in_lp)
+                # the edge-sized reduced costs are dropped before the next solve
+                prices_in = _reduced_costs(costs, I, J, n, sol.duals, subsets) < -REDUCED_COST_TOL
+                new = np.flatnonzero(prices_in & ~in_lp)
                 if not new.size:
                     break
             in_lp[new] = True
@@ -339,6 +346,7 @@ def solve_subtour_lp(obj) -> tuple[EdgeValueMap, list[CutRecord]]:
         if not violated:
             return x, records
         new_sets = [(S, v) for S, v in violated if S not in subsets]
+        del x, values  # nor are the edge values, before the next round's solves
         if not new_sets:
             # a subset whose row is already present cannot stay violated beyond
             # the LP tolerance, so this is a numerical stall, not convergence

@@ -143,7 +143,7 @@ def slack_start(lp):
     """The working state of lp on the all-slack basis, in place of the
     crash basis a cold solve starts from."""
     ws = _Simplex(lp)
-    ws.set_basis(np.arange(ws.nv, ws.ncols))
+    ws.set_basis(np.arange(ws.nv, ws.ncols), np.eye(ws.m))
     return ws
 
 
@@ -231,7 +231,8 @@ def sparse_lp_corpus(rng, count=60):
 
 def test_crash_basis_is_triangular_over_equality_rows(rng):
     # the cold basis replaces equality slacks only, every inequality slack
-    # stays basic, and B is triangular up to a permutation
+    # stays basic, B is triangular up to a permutation, and the closed-form
+    # inverse the solve starts from inverts it
     crashed = 0
     for k, lp in [(-1, square_degree_lp()[0]), *sparse_lp_corpus(rng)]:
         ws = _Simplex(lp)
@@ -242,6 +243,7 @@ def test_crash_basis_is_triangular_over_equality_rows(rng):
         B = ws.basis_matrix()
         assert is_permuted_triangular(B), f"case {k}"
         assert np.linalg.matrix_rank(B) == ws.m, f"case {k}"
+        assert np.abs(ws.Binv @ B - np.eye(ws.m)).max() <= 1e-12, f"case {k}"
         crashed += structural.size
         assert_matches_highs(lp, solve(lp), k)
     assert crashed >= 100
@@ -288,9 +290,9 @@ def test_restart_ends_on_the_crash_basis(monkeypatch):
     cold = list(_Simplex(lp).basis)
     bases, set_basis = [], _Simplex.set_basis
 
-    def recording_set_basis(self, basis):
+    def recording_set_basis(self, basis, Binv):
         bases.append(list(basis))
-        set_basis(self, basis)
+        set_basis(self, basis, Binv)
     monkeypatch.setattr(_Simplex, "set_basis", recording_set_basis)
     sol = solve(lp, start=first)
     assert bases == [[0, 2], [0, 4]] and bases[-1] == cold
@@ -430,6 +432,54 @@ def check_mixed_corpus_against_highs(rng):
 
 def test_mixed_lps_match_highs_cold_and_warm(rng):
     check_mixed_corpus_against_highs(rng)
+
+
+def grown_by_column(lp, rng):
+    """lp with one variable appended to every row and nothing else, as a
+    pricing round appends columns."""
+    nv, m = lp.n_vars, len(lp.eq_rows) + len(lp.ineq_rows)
+    col = rng.normal(size=m)
+    rows = [(np.append(c, nv), np.append(v, col[r]), rhs)
+            for r, (c, v, rhs) in enumerate(list(lp.eq_rows) + list(lp.ineq_rows))]
+    return SparseLp(objective=np.append(lp.objective, rng.normal()),
+                    eq_rows=rows[:len(lp.eq_rows)], ineq_rows=rows[len(lp.eq_rows):],
+                    var_bounds=list(lp.var_bounds) + bounds(1))
+
+
+def test_warm_start_borders_or_reuses_the_inverse(rng):
+    # a start carries the inverse of its basis, optimal or infeasible; after
+    # appended rows the warm start borders it, after appended columns alone
+    # it copies it, and either is the inverse of the basis it starts on
+    for k, lp in mixed_lp_corpus(rng, 60):
+        first = solve(lp)
+        a = rng.normal(size=lp.n_vars)
+        for grown in (lp, grown_by(lp, [sparse_row(a, a @ first.values - 0.1)]),
+                      grown_by_row_and_column(lp, rng, first.values), grown_by_column(lp, rng)):
+            ws = _Simplex(grown, first)
+            assert not np.shares_memory(ws.Binv, first.inverse), f"case {k}"
+            assert np.abs(ws.Binv - np.linalg.inv(ws.basis_matrix())).max(initial=0.0) <= 1e-10, \
+                f"case {k}"
+
+
+def test_warm_solve_leaves_its_start_as_it_was(rng):
+    def snapshot(sol):
+        return [value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+                for value in vars(sol).values()]
+    for k, lp in mixed_lp_corpus(rng, 60):
+        first = solve(lp)
+        kept = snapshot(first)
+        assert first.inverse is not None, f"case {k}"
+        for grown in (lp, grown_by_row_and_column(lp, rng, first.values), grown_by_column(lp, rng)):
+            solve(grown, start=first)
+            assert snapshot(first) == kept, f"case {k}"
+
+
+def test_start_without_an_inverse_is_rejected():
+    lp = SparseLp(objective=np.array([1.0]), eq_rows=[sparse_row([1.0], 0.5)], var_bounds=bounds(1))
+    first = solve(lp)
+    first.inverse = None
+    with pytest.raises(LpDimensionError, match="no inverse of its 1-row basis"):
+        solve(lp, start=first)
 
 
 def test_warm_start_after_adding_rows(rng):

@@ -12,6 +12,7 @@ from gaplab.lp_solver import REDUCED_COST_TOL, LpStatus, SparseLp, solve
 from gaplab.subtour import (
     CutRoundLimitError,
     EdgeValueMap,
+    _reduced_costs,
     build_half_integral,
     closed_form_lp_value,
     closed_form_lp_value_variant,
@@ -448,10 +449,13 @@ def test_cutting_plane_pivot_path_on_g18(monkeypatch):
     # many cuts: the warm starts begin the dual loop with violated cut
     # slacks, basics below their lower bound; the second solve follows
     # pricing: the new edge that prices in flips to its upper bound first,
-    # and the dual loop repairs the degree rows it overfills
+    # and the dual loop repairs the degree rows it overfills.  In the sixth
+    # solve, the second ratio test has two breakpoints equal up to rounding;
+    # from the bordered inverse (within 8e-16 of a fresh one) it takes the
+    # one that ends in 2 pivots, from a fresh inverse the one that takes 3
     calls.clear()
     x, cuts = solve_subtour_lp(np.random.default_rng(5).uniform(0, 100, (40, 2)))
-    assert [sol.pivots for _start, sol in calls] == [32, 1, 16, 8, 1, 3, 2]
+    assert [sol.pivots for _start, sol in calls] == [32, 1, 16, 8, 1, 2, 2]
     assert all(start is prev for (start, _), (_, prev) in zip(calls[1:], calls))
     assert len(cuts) == 13
     assert x.objective_value == pytest.approx(510.81997510781366, abs=1e-9)
@@ -473,6 +477,37 @@ def test_cold_solve_of_g120_starts_from_the_crash_basis(monkeypatch):
     m, start, sol = calls[0]
     assert start is None and m == 360
     assert sol.pivots < m / 4
+
+
+def test_one_inversion_per_solve_of_g120(monkeypatch):
+    # the crash basis and the warm starts get their inverses by algebra, so
+    # only each solve's final check inverts the basis matrix: 3 in 3 solves
+    # (inverting every starting basis as well made 6)
+    import gaplab.subtour as sub
+    inv, solve_lp, inversions, solves = np.linalg.inv, sub.lp_solver.solve, [], []
+
+    def counting_inv(a):
+        inversions.append(len(a))
+        return inv(a)
+
+    def counting_solve(lp, start=None, **kwargs):
+        solves.append(start)
+        return solve_lp(lp, start=start, **kwargs)
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    monkeypatch.setattr(sub.lp_solver, "solve", counting_solve)
+    solve_subtour_lp(gline_instance(120, math.sqrt(119)))
+    assert len(solves) == 3 and len(inversions) == 3
+
+
+def test_point_set_the_frozen_reference_build_cannot_solve():
+    # set 0 of the benchmark's lp-cuts seed 1401: the reference build under
+    # perfbench/reference raises "singular basis matrix" on it
+    points = np.random.default_rng(1401).uniform(0.0, 100.0, size=(6, 100, 2))[0]
+    x, cuts = solve_subtour_lp(points)
+    assert x.max_degree_violation() <= 1e-6
+    assert separate(x) is None
+    assert x.objective_value == pytest.approx(highs_objective(points, [c.subset for c in cuts]),
+                                              abs=1e-6)
 
 
 def independent_reduced_costs(points, duals, subsets):
@@ -507,12 +542,16 @@ def test_returned_solution_is_priced_over_every_edge(monkeypatch, points, object
     monkeypatch.setattr(sub.lp_solver, "solve", recording_solve)
     x, cuts = solve_subtour_lp(points)
     reduced = independent_reduced_costs(points, last[0].duals, [c.subset for c in cuts])
+    # the loop's own pricing adds the same terms in another order
+    n, dist = len(points), pairwise_distances(points)
+    I, J = edge_endpoints(n)
+    priced = _reduced_costs(dist[I, J], I, J, n, last[0].duals, [c.subset for c in cuts])
+    assert np.abs(priced - reduced).max() <= 1e-9
     # edges outside the final LP sit at 0 and price out; inside it, the
     # simplex checked the same sign condition
     assert reduced[x.values == 0.0].min() >= -REDUCED_COST_TOL
     assert separate(x) is None
     assert x.max_degree_violation() <= 1e-6
-    dist = pairwise_distances(points)
     assert x.values @ dist[x.I, x.J] == pytest.approx(x.objective_value, abs=1e-9)
     assert x.objective_value == pytest.approx(objective, abs=1e-9)
 
