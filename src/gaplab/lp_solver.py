@@ -36,11 +36,20 @@ added: c_j - y . A_j.
 Objective entries, row values and right-hand sides must be finite.
 OPTIMAL means the basics, recomputed from a fresh inverse, passed the
 residual check; LpNumericalError means three repair rounds did not.
+
+An LP of fewer than ONE_BLAS_THREAD_BELOW rows is solved with numpy's
+OpenBLAS on one thread (see _OneBlasThread), so its pivot path and its
+time do not depend on how many processors are free.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -50,6 +59,7 @@ PIVOT_TOL = 1e-10         # smallest pivot magnitude accepted in the ratio test
 BLAND_AFTER = 5000        # pivot count after which Bland's rule takes over
 REFRESH_EVERY = 120       # pivots between basis-inverse refactorizations
 CRASH_PIVOT_RATIO = 0.1   # a crash pivot's least size next to its column's largest entry
+ONE_BLAS_THREAD_BELOW = 400  # rows; smaller LPs are solved on one OpenBLAS thread
 
 
 class LpStatus(Enum):
@@ -455,6 +465,74 @@ class _Simplex:
         return max(res, lo, hi)
 
 
+@functools.cache
+def _openblas_thread_count():
+    """(get, set) for the thread count of the OpenBLAS bundled with numpy,
+    through ctypes; None when numpy links another BLAS."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libdir.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))  # numpy has loaded it: the same handle
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Runs its block with numpy's OpenBLAS on one thread, then restores
+    the thread count.
+
+    A solve's dense work is matrix-vector products on the basis inverse
+    and one inversion.  OpenBLAS splits them across processors, and each
+    split waits for the slowest processor: on a 2-processor host with the
+    other processor busy, a 150 x 150 inversion took 1.2 ms at the
+    median, 5.4 ms at the 90th percentile and up to 140 ms on two
+    threads, against 1.1, 1.5 and 3.3 ms on one.  The rounding of a split
+    product also depends on the thread count, and the pivot path with it.
+    On an idle host, one thread solves G(60..120, sqrt(n-1)) (up to 363
+    rows) as fast as two, while two threads solve G(160..500) (480 rows
+    and more) up to a quarter faster; hence ONE_BLAS_THREAD_BELOW.
+
+    The thread count belongs to the process, so solves in several threads
+    share one count: the first to enter saves it and sets one thread, the
+    last to leave restores it.  Without OpenBLAS this does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._saved = 0
+
+    def __enter__(self):
+        count = _openblas_thread_count()
+        if count is not None:
+            with self._lock:
+                if self._inside == 0:
+                    self._saved = count[0]()
+                    count[1](1)
+                self._inside += 1
+        return self
+
+    def __exit__(self, *exc):
+        count = _openblas_thread_count()
+        if count is not None:
+            with self._lock:
+                self._inside -= 1
+                if self._inside == 0:
+                    count[1](self._saved)
+
+
+_ONE_BLAS_THREAD = _OneBlasThread()
+
+
 def solve(lp: SparseLp, start: LpSolution | None = None,
           max_pivots: int | None = None) -> LpSolution:
     """Solve a SparseLp.  ``start`` is an optional warm start: the
@@ -468,26 +546,28 @@ def solve(lp: SparseLp, start: LpSolution | None = None,
     where it stands when the check fails.  Past ``max_pivots`` pivots in
     all, LpIterationLimit is raised.
     """
-    ws = _Simplex(lp, start)
-    if max_pivots is None:
-        max_pivots = 2000 + 40 * ws.ncols
-    status = ws.run(max_pivots)
-    repairs = 0
-    while status is LpStatus.OPTIMAL:
-        # hygiene: refresh the factorization and re-verify; repair if drifted
-        ws.refactor()
-        if ws.residual() <= FEASIBILITY_TOL:
-            break
-        if repairs == 3:
-            raise LpNumericalError("the residual check still fails after 3 repair rounds")
-        repairs += 1
+    small = len(lp.eq_rows) + len(lp.ineq_rows) < ONE_BLAS_THREAD_BELOW
+    with _ONE_BLAS_THREAD if small else contextlib.nullcontext():
+        ws = _Simplex(lp, start)
+        if max_pivots is None:
+            max_pivots = 2000 + 40 * ws.ncols
         status = ws.run(max_pivots)
+        repairs = 0
+        while status is LpStatus.OPTIMAL:
+            # hygiene: refresh the factorization and re-verify; repair if drifted
+            ws.refactor()
+            if ws.residual() <= FEASIBILITY_TOL:
+                break
+            if repairs == 3:
+                raise LpNumericalError("the residual check still fails after 3 repair rounds")
+            repairs += 1
+            status = ws.run(max_pivots)
 
-    values = ws.full_values()[: ws.nv]
-    obj, duals = float("nan"), None
-    if status is LpStatus.OPTIMAL:
-        values = np.clip(values, ws.lb[: ws.nv], ws.ub[: ws.nv])
-        obj = float(ws.c[: ws.nv] @ values)
-        duals = ws.c[ws.basis] @ ws.Binv
-    return LpSolution(status, values, obj, ws.basis.copy(), ws.at_upper.copy(), ws.pivots, duals,
-                      ws.Binv)
+        values = ws.full_values()[: ws.nv]
+        obj, duals = float("nan"), None
+        if status is LpStatus.OPTIMAL:
+            values = np.clip(values, ws.lb[: ws.nv], ws.ub[: ws.nv])
+            obj = float(ws.c[: ws.nv] @ values)
+            duals = ws.c[ws.basis] @ ws.Binv
+        return LpSolution(status, values, obj, ws.basis.copy(), ws.at_upper.copy(), ws.pivots, duals,
+                          ws.Binv)

@@ -510,6 +510,44 @@ def test_point_set_the_frozen_reference_build_cannot_solve():
                                               abs=1e-6)
 
 
+def test_small_lps_run_blas_on_one_thread_whatever_the_count_around_them(monkeypatch):
+    # OpenBLAS splits the products and the inversion of a 150-row basis
+    # over its threads, and a split product rounds by the thread count: on
+    # this set, solved on two threads, the pivot path and the cuts followed
+    # it (46 cuts against 45 on one).  A solve of fewer than
+    # ONE_BLAS_THREAD_BELOW rows runs on one thread and restores the count
+    # it found; a larger one keeps that count.
+    import gaplab.lp_solver as lps
+    count = lps._openblas_thread_count()
+    if count is None:
+        pytest.skip("numpy links no OpenBLAS")
+    get, set_ = count
+    inv, during = np.linalg.inv, []
+
+    def recording_inv(a):
+        during.append(get())
+        return inv(a)
+    monkeypatch.setattr(np.linalg, "inv", recording_inv)
+    points = np.random.default_rng(101).uniform(0.0, 100.0, size=(6, 100, 2))[1]
+    m = lps.ONE_BLAS_THREAD_BELOW
+    large = SparseLp(objective=np.ones(m), var_bounds=[(0.0, 2.0)] * m,
+                     eq_rows=[(np.array([i]), np.array([1.0]), 1.0) for i in range(m)])
+    saved, runs = get(), []
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            x, cuts = solve_subtour_lp(points)
+            assert get() == threads
+            runs.append((x.objective_value, [c.subset for c in cuts]))
+        assert during and set(during) == {1}
+        during.clear()
+        assert solve(large).status is LpStatus.OPTIMAL
+        assert during == [2]
+    finally:
+        set_(saved)
+    assert runs[0] == runs[1]
+
+
 def independent_reduced_costs(points, duals, subsets):
     """c_e - y_i - y_j - sum_{S containing i, j} y_S over every pair, one
     subset at a time."""
