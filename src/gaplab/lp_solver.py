@@ -33,10 +33,6 @@ UNBOUNDED verdict.  An optimal solution carries the row duals
 y = c_B B^-1 of its basis, so a caller can price columns it has not yet
 added: c_j - y . A_j.
 
-Objective entries, row values and right-hand sides must be finite.
-OPTIMAL means the basics, recomputed from a fresh inverse, passed the
-residual check; LpNumericalError means three repair rounds did not.
-
 An LP of fewer than ONE_BLAS_THREAD_BELOW rows is solved with numpy's
 OpenBLAS on one thread (see _OneBlasThread), so its pivot path and its
 time do not depend on how many processors are free.
@@ -68,11 +64,11 @@ class LpStatus(Enum):
 
 
 class LpDimensionError(ValueError):
-    """Rows, bounds or a basis that do not fit the variable count, or non-finite data."""
+    """Bad input: rows, bounds or a start that do not fit the LP, or non-finite data."""
 
 
 class LpNumericalError(RuntimeError):
-    """The basics of an optimal basis kept failing the residual check."""
+    """A singular basis matrix, or an optimal basis whose basics kept failing the residual check."""
 
 
 class LpIterationLimit(RuntimeError):
@@ -95,9 +91,11 @@ class SparseLp:
     variable cols[k] is vals[k], every other coefficient is zero, and
     repeated indices add.  var_bounds are per-variable (lower, upper) with
     0 <= lower <= upper, both finite: a sequence of pairs or an
-    (n_vars, 2) array.  Since every variable is boxed and the objective
-    prices only the variables, the objective is bounded over any feasible
-    set: the LP is either OPTIMAL or INFEASIBLE, never unbounded.
+    (n_vars, 2) array.  The objective, row values and right-hand sides are
+    finite.  Since every variable is boxed and the objective prices only
+    the variables, the objective is bounded over any feasible set: the LP
+    is either OPTIMAL or INFEASIBLE, never unbounded.  solve checks all of
+    this as it reads the rows and raises LpDimensionError otherwise.
     """
 
     objective: np.ndarray
@@ -108,35 +106,6 @@ class SparseLp:
     @property
     def n_vars(self) -> int:
         return len(self.objective)
-
-    def validate(self) -> np.ndarray:
-        """Raise LpDimensionError unless rows and bounds fit the variable
-        count; return the bounds as an (n_vars, 2) float array."""
-        nv = self.n_vars
-        if len(self.var_bounds) != nv:
-            raise LpDimensionError(f"{len(self.var_bounds)} bounds for {nv} variables")
-        nonempty = []
-        for cols, vals, _rhs in list(self.eq_rows) + list(self.ineq_rows):
-            if len(cols) != len(vals):
-                raise LpDimensionError(f"row with {len(cols)} column indices and {len(vals)} values")
-            if len(cols):
-                nonempty.append(np.asarray(cols))
-        if nonempty:
-            cols = np.concatenate(nonempty)
-            if not (cols.dtype.kind in "iu" and 0 <= cols.min() and cols.max() < nv):
-                raise LpDimensionError(f"row column indices must be integers in [0, {nv})")
-        try:
-            bounds = np.asarray(self.var_bounds, dtype=float)
-        except ValueError:  # ragged or non-numeric
-            bounds = None
-        if bounds is None or bounds.shape != (nv, 2):
-            raise LpDimensionError("bounds must be (lo, hi) pairs of numbers")
-        lo, hi = bounds[:, 0], bounds[:, 1]
-        bad = ~(np.isfinite(lo) & np.isfinite(hi) & (0 <= lo) & (lo <= hi))
-        if bad.any():
-            lo, hi = self.var_bounds[int(np.argmax(bad))]
-            raise LpDimensionError(f"invalid bounds ({lo}, {hi}); need finite 0 <= lo <= hi")
-        return bounds
 
 
 @dataclass
@@ -165,29 +134,49 @@ class _Simplex:
     """
 
     def __init__(self, lp: SparseLp, start: LpSolution | None = None):
-        bounds = lp.validate()
         nv = lp.n_vars
-        rows = list(lp.eq_rows) + list(lp.ineq_rows)
+        if len(lp.var_bounds) != nv:
+            raise LpDimensionError(f"{len(lp.var_bounds)} bounds for {nv} variables")
+        rows = [*lp.eq_rows, *lp.ineq_rows]
         m = len(rows)
-        counts = np.array([len(cols) for cols, _vals, _rhs in rows], dtype=np.intp)
-        # the leading empty arrays let an LP without rows through np.concatenate
-        cols = np.concatenate([np.zeros(0, np.intp), *(c for c, _v, _r in rows)]).astype(np.intp)
-        vals = np.concatenate([np.zeros(0), *(v for _c, v, _r in rows)]).astype(float)
+        counts, cols, vals, b = np.zeros(m, np.intp), [], [], []
+        for i, (c, v, rhs) in enumerate(rows):
+            if len(c) != len(v):
+                raise LpDimensionError(f"row with {len(c)} column indices and {len(v)} values")
+            if len(c):  # left out of the index check: an empty row may be a float array
+                counts[i] = len(c)
+                cols.append(c)
+                vals.append(v)
+            b.append(rhs)
+        cols = np.concatenate(cols) if cols else np.zeros(0, np.intp)
+        if cols.size and not (cols.dtype.kind in "iu" and 0 <= cols.min() and cols.max() < nv):
+            raise LpDimensionError(f"row column indices must be integers in [0, {nv})")
+        vals = np.concatenate(vals).astype(float, copy=False) if vals else np.zeros(0)
+        try:
+            bounds = np.asarray(lp.var_bounds, dtype=float)
+        except ValueError:  # ragged or non-numeric
+            bounds = None
+        if bounds is None or bounds.shape != (nv, 2):
+            raise LpDimensionError("bounds must be (lo, hi) pairs of numbers")
+        lo, hi = bounds[:, 0], bounds[:, 1]
+        bad = ~(np.isfinite(lo) & np.isfinite(hi) & (0 <= lo) & (lo <= hi))
+        if bad.any():
+            lo, hi = lp.var_bounds[int(np.argmax(bad))]
+            raise LpDimensionError(f"invalid bounds ({lo}, {hi}); need finite 0 <= lo <= hi")
+        self.b = np.array(b, dtype=float)
+        self.c = np.concatenate([np.asarray(lp.objective, dtype=float), np.zeros(m)])
+        if not all(np.isfinite(a).all() for a in (vals, self.b, self.c)):
+            raise LpDimensionError("objective, row values and right-hand sides must be finite")
         # column-major order; the stable sort keeps each column's rows ascending
         order = np.argsort(cols, kind="stable")
-        self.nzcol = cols[order]
+        self.nzcol = cols[order].astype(np.intp, copy=False)
         self.rowind = np.repeat(np.arange(m), counts)[order]
         self.data = vals[order]
-        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=nv))])
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(self.nzcol, minlength=nv))])
         del cols, vals, order  # the unsorted copies must not live through the first refactor
-        self.b = np.array([rhs for _c, _v, rhs in rows], dtype=float)
-        self.lb = np.concatenate([bounds[:, 0], np.zeros(m)])
+        self.lb = np.concatenate([lo, np.zeros(m)])
         # equality slacks stay fixed at 0, inequality slacks are unbounded above
-        self.ub = np.concatenate([bounds[:, 1], np.zeros(len(lp.eq_rows)),
-                                  np.full(len(lp.ineq_rows), np.inf)])
-        self.c = np.concatenate([np.asarray(lp.objective, dtype=float), np.zeros(m)])
-        if not all(np.isfinite(a).all() for a in (self.data, self.b, self.c)):
-            raise LpDimensionError("objective, row values and right-hand sides must be finite")
+        self.ub = np.concatenate([hi, np.zeros(len(lp.eq_rows)), np.full(len(lp.ineq_rows), np.inf)])
         self.nv, self.m, self.ncols = nv, m, nv + m
         self.pivots = 0
         # fixed columns (lb == ub, i.e. equality slacks) never enter the basis
@@ -219,8 +208,7 @@ class _Simplex:
         R = np.bincount((nzrow[new] - k) * k + nzpos[new], weights=nzval[new],
                         minlength=(self.m - k) * k).reshape(self.m - k, k)
         Binv[k:, :k] = -(R @ start.inverse)
-        appended = np.arange(k, self.m)
-        Binv[appended, appended] = 1.0
+        np.fill_diagonal(Binv[k:, k:], 1.0)
         self.set_basis(basis, Binv)
 
     def _cold_basis(self) -> tuple[np.ndarray, np.ndarray]:
@@ -328,7 +316,7 @@ class _Simplex:
         try:
             self.Binv = np.linalg.inv(self.basis_matrix())
         except np.linalg.LinAlgError as exc:
-            raise LpDimensionError("singular basis matrix") from exc
+            raise LpNumericalError("singular basis matrix") from exc
         self._compute_basics()
 
     def _compute_basics(self):
@@ -538,13 +526,15 @@ def solve(lp: SparseLp, start: LpSolution | None = None,
     """Solve a SparseLp.  ``start`` is an optional warm start: the
     LpSolution of this LP before rows were appended to the end of its row
     list (eq_rows, then ineq_rows) or variables to the end of its
-    objective.  A start with more rows or more variables than the LP
-    raises LpDimensionError.
+    objective.  An LP that breaks the rules of SparseLp, or a start with
+    more rows or more variables than the LP or without the inverse of its
+    basis, raises LpDimensionError.
 
     The verdict, OPTIMAL or INFEASIBLE, comes from _Simplex.run.  An
     OPTIMAL basis is checked against a fresh inverse and solved on from
-    where it stands when the check fails.  Past ``max_pivots`` pivots in
-    all, LpIterationLimit is raised.
+    where it stands when the check fails.  LpNumericalError is raised when
+    three repair rounds fail the check or a basis matrix is singular, and
+    LpIterationLimit past ``max_pivots`` pivots in all.
     """
     small = len(lp.eq_rows) + len(lp.ineq_rows) < ONE_BLAS_THREAD_BELOW
     with _ONE_BLAS_THREAD if small else contextlib.nullcontext():

@@ -276,7 +276,8 @@ def _subtour_lp(n: int, I: np.ndarray, J: np.ndarray, costs: np.ndarray, subsets
     """The LP over the edges (I[k], J[k]): one degree row per point, then
     one row per subset in order."""
     ends = np.concatenate([I, J])
-    # a stable sort of the endpoints lists each point's edges in column order
+    # each point's edges, those where it is the smaller end first; the order
+    # within a row does not matter, since the solver sorts the entries by column
     incident = np.split(np.argsort(ends, kind="stable") % len(I),
                         np.cumsum(np.bincount(ends, minlength=n))[:-1])
     return SparseLp(objective=costs, eq_rows=[(cols, np.ones(len(cols)), 2.0) for cols in incident],

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from gaplab import exact, subtour
@@ -247,3 +248,12 @@ def test_failed_residual_check_is_an_internal_failure(capsys, monkeypatch):
     code, out, err = run(capsys, "solve", "lp", "--n", "4", "--d", "3")
     assert code == 1 and out == ""
     assert err == "internal failure: the residual check still fails after 3 repair rounds\n"
+
+
+def test_singular_basis_is_an_internal_failure(capsys, monkeypatch):
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    code, out, err = run(capsys, "solve", "lp", "--n", "6", "--d", "3")
+    assert code == 1 and out == ""
+    assert err == "internal failure: singular basis matrix\n"

@@ -94,19 +94,26 @@ def test_infeasible_lp_detected():
 
 
 def test_dimension_mismatch():
+    indices = r"row column indices must be integers in \[0, 2\)"
     bad_rows = [
         (np.array([2]), np.array([1.0]), 1.0),          # column index past the last variable
         (np.array([-1]), np.array([1.0]), 1.0),         # negative column index
         (np.array([0.0]), np.array([1.0]), 1.0),        # non-integer column index
         (np.array([0, 1]), np.array([1.0]), 1.0),       # cols and vals of different lengths
     ]
-    for row in bad_rows:
+    messages = [indices] * 3 + ["row with 2 column indices and 1 values"]
+    for row, message in zip(bad_rows, messages):
         lp = SparseLp(objective=np.array([1.0, 2.0]), eq_rows=[row], var_bounds=bounds(2))
-        with pytest.raises(LpDimensionError):
+        with pytest.raises(LpDimensionError, match=message):
             solve(lp)
         lp = SparseLp(objective=np.array([1.0, 2.0]), ineq_rows=[row], var_bounds=bounds(2))
-        with pytest.raises(LpDimensionError):
+        with pytest.raises(LpDimensionError, match=message):
             solve(lp)
+    # an empty row has no index to check, even as a float array
+    empty_row = (np.array([]), np.array([]), 0.0)
+    for lp in (SparseLp(objective=np.array([1.0, 2.0]), eq_rows=[empty_row], var_bounds=bounds(2)),
+               SparseLp(objective=np.array([1.0, 2.0]), ineq_rows=[empty_row], var_bounds=bounds(2))):
+        assert solve(lp).status is LpStatus.OPTIMAL
     with pytest.raises(LpDimensionError, match="1 bounds for 2 variables"):
         solve(SparseLp(objective=np.array([1.0, 2.0]), var_bounds=bounds(1)))
     for not_pairs in ([(0, 1, 2), (0, 1, 2)], [(0, 1), (0, 1, 2)], [0, 1]):
@@ -189,7 +196,8 @@ def test_passable_width_short_by_rounding_only_is_feasible():
 def test_start_from_another_objective():
     # the optimum of min -x subject to x <= 0.5 has x basic at 0.5 and the
     # row's slack nonbasic; under min x that slack prices in, and since it
-    # has no upper bound to flip to, the solve restarts from the all-slack basis
+    # has no upper bound to flip to, the solve restarts from the crash basis,
+    # which for an LP without equality rows is the all-slack basis
     row = [sparse_row([1.0], 0.5)]
     first = solve(SparseLp(objective=np.array([-1.0]), ineq_rows=row, var_bounds=bounds(1)))
     assert first.status is LpStatus.OPTIMAL and first.values == pytest.approx([0.5])
@@ -461,10 +469,13 @@ def test_warm_start_borders_or_reuses_the_inverse(rng):
                 f"case {k}"
 
 
+def snapshot(sol):
+    """Every field of an LpSolution, bit for bit."""
+    return [value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+            for value in vars(sol).values()]
+
+
 def test_warm_solve_leaves_its_start_as_it_was(rng):
-    def snapshot(sol):
-        return [value.tobytes() if isinstance(value, np.ndarray) else repr(value)
-                for value in vars(sol).values()]
     for k, lp in mixed_lp_corpus(rng, 60):
         first = solve(lp)
         kept = snapshot(first)
@@ -472,6 +483,39 @@ def test_warm_solve_leaves_its_start_as_it_was(rng):
         for grown in (lp, grown_by_row_and_column(lp, rng, first.values), grown_by_column(lp, rng)):
             solve(grown, start=first)
             assert snapshot(first) == kept, f"case {k}"
+
+
+def permuted_within_rows(lp, rng):
+    """lp with the entries of every row in a random order."""
+    def permuted(rows):
+        return [(cols[p], vals[p], rhs)
+                for cols, vals, rhs in rows for p in [rng.permutation(len(cols))]]
+    return SparseLp(objective=lp.objective, eq_rows=permuted(lp.eq_rows),
+                    ineq_rows=permuted(lp.ineq_rows), var_bounds=lp.var_bounds)
+
+
+def test_order_within_a_row_does_not_matter(rng, monkeypatch):
+    # the column build sorts the entries by column, stably, so each column
+    # lists its rows in ascending order whatever the order within a row:
+    # every field of the solution, the inverse included, is bit-identical
+    for k, lp in mixed_lp_corpus(rng, 60):
+        assert snapshot(solve(permuted_within_rows(lp, rng))) == snapshot(solve(lp)), f"case {k}"
+    # the last LP of a cutting-plane solve, whose degree rows list a point's
+    # edges out of column order, cold and warm from the solve before it
+    import gaplab.subtour as sub
+    solve_lp, calls = sub.lp_solver.solve, []
+
+    def recording_solve(lp, start=None, **kwargs):
+        calls.append((lp, start))
+        return solve_lp(lp, start=start, **kwargs)
+    monkeypatch.setattr(sub.lp_solver, "solve", recording_solve)
+    sub.solve_subtour_lp(np.random.default_rng(1301).uniform(0.0, 100.0, size=(100, 2)))
+    lp, start = calls[-1]
+    assert lp.ineq_rows and start is not None
+    assert any((np.diff(cols) < 0).any() for cols, _vals, _rhs in lp.eq_rows)
+    permuted = permuted_within_rows(lp, rng)
+    for begin in (None, start):
+        assert snapshot(solve(permuted, start=begin)) == snapshot(solve(lp, start=begin))
 
 
 def test_start_without_an_inverse_is_rejected():
