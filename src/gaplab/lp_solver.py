@@ -140,17 +140,22 @@ class _Simplex:
         rows = [*lp.eq_rows, *lp.ineq_rows]
         m = len(rows)
         counts, cols, vals, b = np.zeros(m, np.intp), [], [], []
+        bad_index = f"row column indices must be integers in [0, {nv})"
         for i, (c, v, rhs) in enumerate(rows):
             if len(c) != len(v):
                 raise LpDimensionError(f"row with {len(c)} column indices and {len(v)} values")
             if len(c):  # left out of the index check: an empty row may be a float array
+                # each row on its own: int64 and uint64 rows concatenate to float64
+                if np.asarray(c).dtype.kind not in "iu":
+                    raise LpDimensionError(bad_index)
                 counts[i] = len(c)
                 cols.append(c)
                 vals.append(v)
             b.append(rhs)
-        cols = np.concatenate(cols) if cols else np.zeros(0, np.intp)
-        if cols.size and not (cols.dtype.kind in "iu" and 0 <= cols.min() and cols.max() < nv):
-            raise LpDimensionError(f"row column indices must be integers in [0, {nv})")
+        # a uint64 index past the intp range wraps negative and fails the range check
+        cols = np.concatenate(cols, dtype=np.intp) if cols else np.zeros(0, np.intp)
+        if cols.size and not (0 <= cols.min() and cols.max() < nv):
+            raise LpDimensionError(bad_index)
         vals = np.concatenate(vals).astype(float, copy=False) if vals else np.zeros(0)
         try:
             bounds = np.asarray(lp.var_bounds, dtype=float)
@@ -169,7 +174,7 @@ class _Simplex:
             raise LpDimensionError("objective, row values and right-hand sides must be finite")
         # column-major order; the stable sort keeps each column's rows ascending
         order = np.argsort(cols, kind="stable")
-        self.nzcol = cols[order].astype(np.intp, copy=False)
+        self.nzcol = cols[order]
         self.rowind = np.repeat(np.arange(m), counts)[order]
         self.data = vals[order]
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(self.nzcol, minlength=nv))])
@@ -336,8 +341,6 @@ class _Simplex:
         """Make basis the basis, with Binv the inverse of its basis matrix,
         keeping the nonbasics at their bounds."""
         self.basis = basis
-        self.is_basic = np.zeros(self.ncols, dtype=bool)
-        self.is_basic[basis] = True
         self.Binv = Binv
         self._compute_basics()
 
@@ -356,10 +359,8 @@ class _Simplex:
         enter_val = (self.ub[q] if self.at_upper[q] else self.lb[q]) + t
         self.xB -= t * u
         leaving = self.basis[r]
-        self.is_basic[leaving] = False
         self.at_upper[leaving] = leave_at_upper and np.isfinite(self.ub[leaving])
         self.basis[r] = q
-        self.is_basic[q] = True
         self.xB[r] = enter_val
         # product-form update of the inverse
         row_r = self.Binv[r] / u[r]
@@ -404,7 +405,8 @@ class _Simplex:
             if self.pivots > max_pivots:
                 raise LpIterationLimit(self.pivots)
             d = self.reduced_costs()
-            free = ~(self.is_basic | self.fixed)  # the nonbasic columns that can move
+            free = ~self.fixed  # the nonbasic columns that can move
+            free[self.basis] = False
             if check:
                 cols = np.flatnonzero(free & (np.where(self.at_upper, -d, d) < -REDUCED_COST_TOL))
                 if np.isinf(self.ub[cols]).any():

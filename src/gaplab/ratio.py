@@ -101,7 +101,7 @@ def variant_ratio_sqrt_half(n: int) -> float:
     tour = closed_form_tour(n, math.sqrt(half)) if half >= 0 else math.nan
     if math.isnan(tour):
         raise DomainError(f"need even n with n/2 - 1 >= 16, got {n}")
-    return tour / (3.0 * n - 4.0 + 3.0 * math.sqrt(half) + math.sqrt(n / 2))
+    return tour / subtour.closed_form_lp_value(n, math.sqrt(half))
 
 
 def f_argmin(n: int, d: float) -> int:

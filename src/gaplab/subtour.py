@@ -317,8 +317,6 @@ def solve_subtour_lp(obj) -> tuple[EdgeValueMap, list[CutRecord]]:
     costs = dist[I, J]
 
     cols = _quadrant_core(coords, dist)  # the LP's columns, as edge indices
-    in_lp = np.zeros(len(I), dtype=bool)
-    in_lp[cols] = True
     subsets: list[frozenset[int]] = []
     lp = _subtour_lp(n, I[cols], J[cols], costs[cols], subsets)
     records: list[CutRecord] = []
@@ -327,17 +325,18 @@ def solve_subtour_lp(obj) -> tuple[EdgeValueMap, list[CutRecord]]:
     for _round in range(CUT_ROUND_FACTOR * n):
         while True:  # price every edge until none has a negative reduced cost
             sol = lp_solver.solve(lp, start=sol)
-            if sol.status is LpStatus.INFEASIBLE and not in_lp.all():
-                new = np.flatnonzero(~in_lp)  # the core admits no solution: take every edge
+            if sol.status is LpStatus.INFEASIBLE and len(cols) < len(I):
+                # the core admits no solution: take every edge
+                new = np.setdiff1d(np.arange(len(I)), cols)
             elif sol.status is not LpStatus.OPTIMAL:
                 raise SubtourSolveError(f"subtour LP solve returned {sol.status.value}")
             else:
                 # the edge-sized reduced costs are dropped before the next solve
                 prices_in = _reduced_costs(costs, I, J, n, sol.duals, subsets) < -REDUCED_COST_TOL
-                new = np.flatnonzero(prices_in & ~in_lp)
+                prices_in[cols] = False
+                new = np.flatnonzero(prices_in)
                 if not new.size:
                     break
-            in_lp[new] = True
             cols = np.concatenate([cols, new])
             lp = _subtour_lp(n, I[cols], J[cols], costs[cols], subsets)
         values = np.zeros(len(I))

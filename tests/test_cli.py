@@ -83,6 +83,20 @@ def test_solve_lp_cutting_plane(capsys):
                    "got 'held-karp'\n")
 
 
+def test_solve_lp_closed_form_backend(capsys):
+    code, out, _ = run(capsys, "solve", "lp", "--n", "18", "--d", "sqrt(n-1)",
+                       "--backend", "closed-form")
+    assert code == 0
+    assert out.splitlines() == ["lp = 66.611957564  [closed_form]",
+                                "lp_closed = 66.611957564",
+                                "lp_closed_variant = 67.611957564"]
+    code, out, err = run(capsys, "solve", "lp", "--n", "4", "--d", "1", "--backend", "closed-form")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: closed LP form 12.4142135624 does not hold at n=4 d=1: "
+                   "a grid tour of length 12 is shorter\n")
+
+
 def test_solve_lp_omits_the_closed_form_where_it_refuses(capsys):
     code, out, _ = run(capsys, "solve", "lp", "--n", "4", "--d", "1")
     assert code == 0

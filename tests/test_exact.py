@@ -78,6 +78,20 @@ def test_deterministic_reconstruction(rng):
     assert a.order[1] <= a.order[-1]
 
 
+@pytest.mark.parametrize("points, order, length", [
+    # unit grids: many optimal tours, so these pin which one the ties select
+    (gline_instance(4, 1.0), (0, 1, 2, 3, 7, 11, 10, 6, 5, 9, 8, 4), 12.0),
+    (gline_instance(6, 1.0), (0, 1, 2, 3, 4, 5, 11, 17, 16, 10, 9, 15, 14, 8, 7, 13, 12, 6), 18.0),
+    (np.random.default_rng(9).uniform(0, 10, (9, 2)), (0, 5, 4, 6, 8, 1, 2, 3, 7), 30.74203719598125),
+    (np.random.default_rng(18).uniform(0, 10, (18, 2)),
+     (0, 16, 15, 5, 10, 1, 4, 11, 7, 12, 2, 6, 8, 9, 3, 14, 13, 17), 36.17120753496651),
+])
+def test_held_karp_returns_the_pinned_optimal_order(points, order, length):
+    tour = held_karp(points)
+    assert tour.order == order
+    assert tour.length == length
+
+
 def test_gline_oracle_equivalence_small():
     # cross-module ground truth; the z-vector side is checked in test_gline
     inst = gline_instance(4, 4.0)

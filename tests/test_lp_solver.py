@@ -99,9 +99,10 @@ def test_dimension_mismatch():
         (np.array([2]), np.array([1.0]), 1.0),          # column index past the last variable
         (np.array([-1]), np.array([1.0]), 1.0),         # negative column index
         (np.array([0.0]), np.array([1.0]), 1.0),        # non-integer column index
+        (np.array([2**63], np.uint64), np.array([1.0]), 1.0),  # past the intp range
         (np.array([0, 1]), np.array([1.0]), 1.0),       # cols and vals of different lengths
     ]
-    messages = [indices] * 3 + ["row with 2 column indices and 1 values"]
+    messages = [indices] * 4 + ["row with 2 column indices and 1 values"]
     for row, message in zip(bad_rows, messages):
         lp = SparseLp(objective=np.array([1.0, 2.0]), eq_rows=[row], var_bounds=bounds(2))
         with pytest.raises(LpDimensionError, match=message):
@@ -109,6 +110,13 @@ def test_dimension_mismatch():
         lp = SparseLp(objective=np.array([1.0, 2.0]), ineq_rows=[row], var_bounds=bounds(2))
         with pytest.raises(LpDimensionError, match=message):
             solve(lp)
+    # int64 and uint64 rows together, whose concatenation numpy promotes to float64
+    mixed = SparseLp(objective=np.array([1.0, 2.0]),
+                     eq_rows=[(np.array([0]), np.array([1.0]), 1.0),
+                              (np.array([1], np.uint64), np.array([1.0]), 1.0)],
+                     var_bounds=bounds(2))
+    sol = solve(mixed)
+    assert sol.status is LpStatus.OPTIMAL and sol.objective_value == 3.0
     # an empty row has no index to check, even as a float array
     empty_row = (np.array([]), np.array([]), 0.0)
     for lp in (SparseLp(objective=np.array([1.0, 2.0]), eq_rows=[empty_row], var_bounds=bounds(2)),
@@ -607,7 +615,7 @@ def dual_pass(lp, start=None):
     ws = _Simplex(lp, start) if start is not None else slack_start(lp)
     d = ws.reduced_costs()
     prices_in = np.where(ws.at_upper, d > REDUCED_COST_TOL, d < -REDUCED_COST_TOL)
-    assert not (prices_in & ~ws.is_basic & ~ws.fixed).any()
+    assert not np.delete(prices_in & ~ws.fixed, ws.basis).any()
     ws.run(max_pivots=10_000)
     kept = ws.xB.copy()
     ws.refactor()

@@ -39,6 +39,14 @@ def test_scripts_run(tmp_path, argv, summary):
         assert line.format(tmp=tmp_path) in lines
 
 
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(gaplab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "gaplab", "solve", "ratio", "--n", "18",
+                           "--d", "sqrt(n-1)"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "ratio = 1.14463249602" in proc.stdout.splitlines()
+
+
 def test_benchmark_tracer_hooks_exist(monkeypatch):
     # the benchmark's traced mode wraps these functions by name; renaming or
     # removing one must fail here, not only in the benchmark's own suite
