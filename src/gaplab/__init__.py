@@ -16,7 +16,6 @@ from .gline import (
     sqrt_inequality_check,
     tour_from_zvector,
     tour_lower_bound,
-    zvector_optimum,
 )
 from .instances import INF, DomainError, Instance, InstanceSpec, Role, distance, export, from_json, generate
 from .lp_solver import LpSolution, LpStatus, SparseLp, solve
@@ -40,6 +39,5 @@ __all__ = [
     "insertion_cost_end", "insertion_cost_inner", "optimal_zvector", "ratio_exact",
     "ratio_lower_bound", "separate", "solve", "solve_subtour_lp", "sqrt_inequality_check",
     "sweep", "tour_from_zvector", "tour_lower_bound", "variant_ratio_sqrt_half",
-    "zvector_optimum",
 ]
 __version__ = "0.1.0"

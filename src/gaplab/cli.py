@@ -163,7 +163,7 @@ def run_verify(hk_cap: int):
         def oracle(n=n, d=d):
             if 3 * n > hk_cap:
                 return ("SKIP", f"{3 * n} points exceeds cap {hk_cap}")
-            zv = gline.zvector_optimum(n, d)[1]
+            zv = gline.optimal_zvector(n, d)[1]
             hk = exact.held_karp(generate(InstanceSpec(n=n, d=d)),
                                  max_points=hk_cap).length
             return abs(zv - hk) <= 1e-9, f"zvector={fmt12(zv)} held_karp={fmt12(hk)}"
@@ -211,7 +211,7 @@ def run_verify(hk_cap: int):
 
     for n in (18, 20, 100):
         def closed_form(n=n):
-            got = gline.zvector_optimum(n, math.sqrt(n - 1))[1]
+            got = gline.optimal_zvector(n, math.sqrt(n - 1))[1]
             return abs(got - gline.closed_form_tour_value(n)) <= 1e-9
         record(f"closed-form optimum at n={n}", closed_form)
 

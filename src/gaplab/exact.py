@@ -52,8 +52,6 @@ def held_karp(obj, max_points: int = HELD_KARP_DEFAULT_CAP) -> Tour:
     """
     coords, p = coerce_points(obj)
     n = len(coords)
-    if n < 3:
-        raise DomainError(f"need at least 3 points, got {n}")
     if n > max_points:
         raise DomainError(f"{n} points exceeds the DP cap of {max_points}")
     dist = pairwise_distances(coords, p)
@@ -99,8 +97,6 @@ def brute_force(obj, max_points: int = BRUTE_FORCE_DEFAULT_CAP) -> Tour:
     """Optimal tour by enumerating all (N-1)! orders with vertex 0 fixed."""
     coords, p = coerce_points(obj)
     n = len(coords)
-    if n < 3:
-        raise DomainError(f"need at least 3 points, got {n}")
     if n > max_points:
         raise DomainError(f"{n} points exceeds the enumeration cap of {max_points}")
     dist = pairwise_distances(coords, p)

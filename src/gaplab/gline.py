@@ -18,7 +18,7 @@ The optimal z-vector is balanced (entries floor(n/k) or ceil(n/k), by
 convexity of c), so only its length k is searched.  The balanced length
 n + k + 2d - 2 + k c^(n/k), with c^ the piecewise-linear interpolant of c,
 is convex in k, being the perspective of a convex function.
-``zvector_optimum`` therefore evaluates a window of even k that grows until
+``optimal_zvector`` therefore evaluates a window of even k that grows until
 both its edges rise outward by more than a stated rounding margin, which
 certifies the window holds the minimum of all even k, and compares that
 minimum with k = 1.
@@ -208,7 +208,7 @@ def _even_k_values(n: int, d: float, ks: np.ndarray) -> np.ndarray:
     return n + ks + 2.0 * d - 2.0 + sum_c
 
 
-# Relative float-rounding margin of the windowed search in zvector_optimum.
+# Relative float-rounding margin of the windowed search in optimal_zvector.
 # Each computed V(k) is formed with at most ten roundings of relative size
 # u = 2^-53 (hypot included), and every partial sum lies below V(k) + 2, so
 # the computed value is within rho = 2^-49 of the exact one, relatively.  If
@@ -221,13 +221,15 @@ def _even_k_values(n: int, d: float, ks: np.ndarray) -> np.ndarray:
 _SLOPE_MARGIN = 2.0 ** -44
 
 
-def zvector_optimum(n: int, d: float) -> tuple[int, float]:
+def optimal_zvector(n: int, d: float) -> tuple[int, float]:
     """Length k and formula length of the minimum-length z-vector for G(n, d).
 
-    The same k and the bit-identical value of a full argmin over the
-    balanced even k = 2..n (ties to the smaller k) followed by the
-    comparison with k = 1, found without evaluating every k.  The balanced
-    length V(k) = n + k + 2d - 2 + k c^(n/k), with c^ the piecewise-linear
+    The vector itself is ``balanced_zvector(n, k)``: balanced entries are
+    optimal for each length by convexity of c.  Returns the same k and the
+    bit-identical value of a full argmin over the balanced even k = 2..n
+    (ties to the smaller k) followed by the comparison with k = 1, found
+    without evaluating every k.  The balanced length
+    V(k) = n + k + 2d - 2 + k c^(n/k), with c^ the piecewise-linear
     interpolant of the convex c, is convex in k: k c^(n/k) is the
     perspective of c^.  So a window of even k that contains the minimum
     and whose edge values both rise outward by more than the rounding
@@ -260,18 +262,6 @@ def zvector_optimum(n: int, d: float) -> tuple[int, float]:
     if v1 <= vals[i]:
         return 1, v1
     return int(ks[i]), float(vals[i])
-
-
-def optimal_zvector(n: int, d: float) -> tuple[ZVector, float]:
-    """Minimum-length z-vector for G(n, d) and its formula length.
-
-    Balanced entries are optimal for each length by convexity of c; the
-    length is the certified windowed search of :func:`zvector_optimum`
-    over even k plus the single odd candidate k = 1, ties to the smaller
-    k.  Requires n even >= 4, d >= 4.
-    """
-    k, value = zvector_optimum(n, d)
-    return balanced_zvector(n, k), value
 
 
 def f_value(k: float, d: float, n: float) -> float:

@@ -144,14 +144,20 @@ def coerce_points(obj) -> tuple[np.ndarray, float]:
     """Accept an Instance or a raw (N, 2) coordinate array; return (coords, p).
 
     Raw arrays are treated as Euclidean point sets.  Several solvers
-    (subtour LP, exact tours) accept either form.
+    (subtour LP, exact tours) accept either form; both must hold at least
+    3 points, all with finite coordinates.
     """
     if isinstance(obj, Instance):
-        return obj.coords(), obj.spec.p
-    coords = np.asarray(obj, dtype=float)
-    if coords.ndim != 2 or coords.shape[1] != 2:
-        raise DomainError(f"expected an Instance or an (N, 2) array, got shape {coords.shape}")
-    return coords, 2
+        coords, p = obj.coords(), obj.spec.p
+    else:
+        coords, p = np.asarray(obj, dtype=float), 2
+        if coords.ndim != 2 or coords.shape[1] != 2:
+            raise DomainError(f"expected an Instance or an (N, 2) array, got shape {coords.shape}")
+    if len(coords) < 3:
+        raise DomainError(f"need at least 3 points, got {len(coords)}")
+    if not np.isfinite(coords).all():
+        raise DomainError("point coordinates must be finite")
+    return coords, p
 
 
 # -- serialization ----------------------------------------------------------

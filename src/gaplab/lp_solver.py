@@ -205,14 +205,13 @@ class _Simplex:
         self.at_upper[self.nv: self.nv + k] = start.at_upper[nv0:]
         # B = [[B0, 0], [R, I]] with R the appended rows on start's basic
         # columns, so Binv = [[B0^-1, 0], [-R B0^-1, I]]; a copy of B0^-1
-        # when no row was appended
+        # when no row was appended (a pricing re-solve), which then builds
+        # no m x m basis matrix for an empty R
+        self.basis = basis  # basis_matrix() reads it
         Binv = np.zeros((self.m, self.m))
         Binv[:k, :k] = start.inverse
-        nzrow, nzpos, nzval = self._basic_entries(basis[:k])
-        new = nzrow >= k
-        R = np.bincount((nzrow[new] - k) * k + nzpos[new], weights=nzval[new],
-                        minlength=(self.m - k) * k).reshape(self.m - k, k)
-        Binv[k:, :k] = -(R @ start.inverse)
+        if k < self.m:
+            Binv[k:, :k] = -(self.basis_matrix()[k:, :k] @ start.inverse)
         np.fill_diagonal(Binv[k:, k:], 1.0)
         self.set_basis(basis, Binv)
 

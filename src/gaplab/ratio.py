@@ -135,7 +135,7 @@ def closed_form_tour(n: int, d: float) -> float:
 def tour_value(n: int, d: float, backend: TourBackend,
                held_karp_cap: int = exact.HELD_KARP_DEFAULT_CAP) -> float:
     if backend is TourBackend.ZVECTOR:
-        return gline.zvector_optimum(n, d)[1]
+        return gline.optimal_zvector(n, d)[1]
     if backend is TourBackend.CLOSED_FORM:
         if not proven_tour_form_holds(n, d):
             raise DomainError("the closed tour form needs even n >= 18 and d = sqrt(n-1), "
@@ -255,7 +255,7 @@ class DRule:
 def sweep(n_values, d_rule: DRule) -> list[RatioReport]:
     """One RatioReport per n, ordered by n, each the :func:`ratio_exact`
     report with the closed LP form and the proven closed tour form where it
-    holds, else the z-vector optimum (:func:`gline.zvector_optimum`).
+    holds, else the z-vector optimum (:func:`gline.optimal_zvector`).
     Per-row failures are recorded in the row and the sweep continues."""
     reports = []
     # an Enum member lookup costs about 0.2 µs; look them up once, not per row

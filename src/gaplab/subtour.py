@@ -310,8 +310,6 @@ def solve_subtour_lp(obj) -> tuple[EdgeValueMap, list[CutRecord]]:
     """
     coords, p = coerce_points(obj)
     n = len(coords)
-    if n < 3:
-        raise DomainError(f"need at least 3 points, got {n}")
     dist = pairwise_distances(coords, p)
     I, J = edge_endpoints(n)
     costs = dist[I, J]

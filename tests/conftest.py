@@ -28,7 +28,7 @@ def gline_instance(n: int, d: float, p: float = 2):
 
 
 def full_enumeration_optimum(n: int, d: float) -> tuple[int, float]:
-    """Reference for gline.zvector_optimum: argmin over every balanced even
+    """Reference for gline.optimal_zvector: argmin over every balanced even
     k = 2..n (ties to the smaller k), then the comparison with k = 1."""
     ks = np.arange(2, n + 1, 2)
     vals = gline._even_k_values(n, d, ks)

@@ -37,6 +37,15 @@ def test_gen_rejects_bad_n(capsys):
     assert "error" in err
 
 
+def test_gen_p_values(capsys):
+    code, out, _ = run(capsys, "gen", "--n", "3", "--d", "1", "--p", "inf")
+    assert code == 0
+    assert json.loads(out)["p"] == "inf"
+    code, out, err = run(capsys, "gen", "--n", "3", "--d", "1", "--p", "2.5")
+    assert code == 2 and out == ""
+    assert err == "error: p must be a positive integer or 'inf', got '2.5'\n"
+
+
 def test_gen_tsplib_to_file(tmp_path, capsys):
     out_file = tmp_path / "inst.tsp"
     code, _, _ = run(capsys, "gen", "--n", "4", "--d", "4", "--format", "tsplib",
@@ -145,6 +154,12 @@ def test_sweep_error_rows_keep_the_columns(capsys):
                 assert (row[1], row[-1]) == ("", f"d-rule {rule} has no finite value at n={row[0]}")
             else:
                 assert row[1] != ""
+
+
+def test_sweep_rejects_a_bare_n(capsys):
+    code, out, err = run(capsys, "sweep", "--n", "18", "--d-rule", "sqrt-n-1")
+    assert code == 2 and out == ""
+    assert err == "error: range must be START:STOP[:STEP], got '18'\n"
 
 
 def test_sweep_deterministic_output(capsys):
@@ -271,3 +286,14 @@ def test_singular_basis_is_an_internal_failure(capsys, monkeypatch):
     code, out, err = run(capsys, "solve", "lp", "--n", "6", "--d", "3")
     assert code == 1 and out == ""
     assert err == "internal failure: singular basis matrix\n"
+
+
+def test_unexpected_exception_is_an_internal_failure(capsys, monkeypatch):
+    import gaplab.cli as cli
+
+    def lookup_fails(*a, **k):
+        raise KeyError("synthetic")
+    monkeypatch.setattr(cli, "generate", lookup_fails)
+    code, out, err = run(capsys, "gen", "--n", "3", "--d", "1")
+    assert code == 1 and out == ""
+    assert err == "internal failure: KeyError('synthetic')\n"

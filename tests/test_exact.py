@@ -28,6 +28,17 @@ def test_degenerate_inputs_rejected():
         brute_force(two)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("solver", [held_karp, brute_force])
+def test_non_finite_coordinates_rejected(solver, bad):
+    # unchecked, held_karp returned a NaN length here, or with inf or on
+    # another point never returned from its walk-back
+    pts = np.random.default_rng(0).uniform(0, 10, (7, 2))
+    pts[0, 0] = bad
+    with pytest.raises(DomainError, match="^point coordinates must be finite$"):
+        solver(pts)
+
+
 def test_size_caps():
     pts = np.random.default_rng(0).uniform(0, 1, size=(11, 2))
     with pytest.raises(DomainError):

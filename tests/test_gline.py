@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaplab import gline
 from gaplab.exact import held_karp
 from gaplab.gline import (
     ZVector,
@@ -18,7 +19,6 @@ from gaplab.gline import (
     sqrt_inequality_check,
     tour_from_zvector,
     tour_lower_bound,
-    zvector_optimum,
     zvector_tour_value,
 )
 from gaplab.instances import DomainError
@@ -154,9 +154,9 @@ def test_tour_from_zvector_rejections():
 
 
 def test_optimal_zvector_sqrt_rule_closed_form():
-    zv, value = optimal_zvector(18, math.sqrt(17))
+    k, value = optimal_zvector(18, math.sqrt(17))
     assert value == pytest.approx(68 + 2 * math.sqrt(17), abs=1e-9)
-    assert zv.entries == (9, 9)
+    assert balanced_zvector(18, k).entries == (9, 9)
 
 
 @pytest.mark.parametrize("n,d", [
@@ -173,14 +173,10 @@ def test_optimal_zvector_preconditions():
         optimal_zvector(7, 4.0)
     with pytest.raises(DomainError):
         optimal_zvector(6, 3.0)
-    with pytest.raises(DomainError):
-        zvector_optimum(7, 4.0)
-    with pytest.raises(DomainError):
-        zvector_optimum(6, 3.0)
 
 
 def assert_search_matches_enumeration(n, d):
-    k, value = zvector_optimum(n, d)
+    k, value = optimal_zvector(n, d)
     want_k, want_value = full_enumeration_optimum(n, d)
     assert (k, value) == (want_k, want_value), (n, d)
     assert type(value) is float
@@ -200,13 +196,21 @@ def test_zvector_search_matches_full_enumeration_large_and_growing_d():
                      (DRule.parse("sqrt-half"), (34, 36, 38, 500, 2002, 12000))):
         for n in ns:
             assert_search_matches_enumeration(n, rule.d_of(n))
+    # k = 1 wins only on a float tie, since hypot(n-2, 2d) <= hypot(n-2, d) + d;
+    # at d = 1e9 the tie holds for n = 4..10
+    for d in (1e8, 1e9):
+        for n in range(4, 11, 2):
+            assert_search_matches_enumeration(n, d)
+    assert all(optimal_zvector(n, 1e9)[0] == 1 for n in range(4, 11, 2))
 
 
-def test_optimal_zvector_is_the_balanced_vector_of_the_optimum():
-    for n, d in ((18, math.sqrt(17)), (200, 4.0), (1000, 4.5), (40, 50.0)):
-        k, value = zvector_optimum(n, d)
-        zv, got = optimal_zvector(n, d)
-        assert zv == balanced_zvector(n, k) and got == value
+def test_zvector_search_without_certified_edges_spans_every_k(monkeypatch):
+    """With a margin no edge can meet, the window doubles until it covers
+    every even k, and the answer is still the full enumeration's."""
+    monkeypatch.setattr(gline, "_SLOPE_MARGIN", 1.0)
+    for d in (4.0, 4.5, 10.0, 50.0):
+        for n in range(4, 201, 2):
+            assert_search_matches_enumeration(n, d)
 
 
 def test_balancedness_beats_random_unbalanced(rng):

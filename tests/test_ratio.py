@@ -160,7 +160,7 @@ def test_sweep_csv_layout():
 
 def test_const_sweep_csv_matches_full_enumeration(monkeypatch):
     got = sweep_csv(sweep(range(18, 2001, 2), DRule.parse("const:4")))
-    monkeypatch.setattr(gline, "zvector_optimum", full_enumeration_optimum)
+    monkeypatch.setattr(gline, "optimal_zvector", full_enumeration_optimum)
     assert got == sweep_csv(sweep(range(18, 2001, 2), DRule.parse("const:4")))
 
 

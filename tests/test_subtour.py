@@ -72,6 +72,14 @@ def test_solve_subtour_lp_needs_three_points():
         solve_subtour_lp(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_solve_subtour_lp_rejects_non_finite_coordinates(bad):
+    pts = np.random.default_rng(0).uniform(0, 10, (7, 2))
+    pts[0, 0] = bad
+    with pytest.raises(DomainError, match="^point coordinates must be finite$"):
+        solve_subtour_lp(pts)
+
+
 def test_separate_disconnected_support():
     W = np.zeros((6, 6))
     for tri in ([0, 1, 2], [3, 4, 5]):
