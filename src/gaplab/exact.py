@@ -6,8 +6,10 @@ vertex 0, second vertex not larger than the last).  They exist to
 ground-truth the structural tour machinery, so the two implementations
 stay independent of each other and of everything else.
 
-The DP keeps one float64 table of 2^(N-1) * (N-1) path costs (80 MB at
-the 20-point cap) and re-derives the order from it.
+The DP keeps one float64 table of path costs per subset size, still
+2^(N-1) * (N-1) floats in all (80 MB at the 20-point cap), plus a
+2^(N-1) array that maps each subset to its column, and re-derives the
+order from them.
 """
 from __future__ import annotations
 
@@ -47,8 +49,10 @@ def _canonical(order: list[int]) -> tuple[int, ...]:
 def held_karp(obj, max_points: int = HELD_KARP_DEFAULT_CAP) -> Tour:
     """Optimal tour by dynamic programming over vertex subsets.
 
-    Memory grows as 2^(N-1) * (N-1) floats, so N is capped (default 20,
-    about 10M states).  Accepts an Instance or a raw (N, 2) array.
+    Subsets of the same size share one table, filled from the table one
+    size smaller.  Memory grows as 2^(N-1) * (N-1) floats, so N is capped
+    (default 20, about 10M states).  Accepts an Instance or a raw (N, 2)
+    array.
     """
     coords, p = coerce_points(obj)
     n = len(coords)
@@ -58,31 +62,42 @@ def held_karp(obj, max_points: int = HELD_KARP_DEFAULT_CAP) -> Tour:
 
     m = n - 1  # vertices 1..n-1 on bits 0..m-1; vertex 0 is the fixed start
     full = 1 << m
-    dp = np.full((full, m), np.inf)  # dp[mask, j]: shortest path from 0 through mask, ending at j
-    dp[1 << np.arange(m), np.arange(m)] = dist[0, 1:]
-
     masks = np.arange(full, dtype=np.int64)
     by_size = [masks[np.bitwise_count(masks) == s] for s in range(m + 1)]
+    rank = np.empty(full, dtype=np.int64)  # a mask's column in its layer's table
+    for layer in by_size:
+        rank[layer] = np.arange(len(layer))
+    # table[s][j, rank[mask]]: shortest path from 0 through the s vertices of
+    # mask, ending at j; inf where j is not in mask
+    table = [np.full((m, len(layer)), np.inf) for layer in by_size]
+    table[1][np.arange(m), rank[1 << np.arange(m)]] = dist[0, 1:]
+
     sub = dist[1:, 1:]
     for s in range(2, m + 1):
-        layer = by_size[s]
+        layer, prev = by_size[s], table[s - 1]
         for j in range(m):
             sel = layer[(layer >> j) & 1 == 1]
-            cand = dp[sel ^ (1 << j)]  # a gathered copy, so the add can run in place
-            cand += sub[:, j]
-            dp[sel, j] = cand.min(axis=1)
+            cols = rank[sel ^ (1 << j)]
+            low = np.full(len(sel), np.inf)
+            buf = np.empty_like(low)
+            for i in range(m):
+                if i != j:  # prev[j] is inf on every column: j is not in them
+                    prev[i].take(cols, out=buf)
+                    buf += sub[i, j]
+                    np.minimum(low, buf, out=low)
+            table[s][j, rank[sel]] = low
 
-    closing = dp[full - 1] + dist[1:, 0]
+    closing = table[m][:, 0] + dist[1:, 0]
     j = int(np.argmin(closing))
     best = float(closing[j])
 
-    # walk back: the predecessor of j is the argmin the fill took, the same
-    # sum over the same dp row, so ties again go to the lowest index
+    # walk back: the predecessor of j is the argmin over the same sums the
+    # fill took the minimum of, so ties again go to the lowest index
     order_rev = [j + 1]
     mask = full - 1
     while mask != 1 << j:
         mask ^= 1 << j
-        j = int(np.argmin(dp[mask] + sub[:, j]))
+        j = int(np.argmin(table[mask.bit_count()][:, rank[mask]] + sub[:, j]))
         order_rev.append(j + 1)
     order = [0] + order_rev[::-1]
     return Tour(order=_canonical(order), length=best)

@@ -42,8 +42,10 @@ class InstanceSpec:
             raise DomainError(f"n must be an integer >= 2, got {self.n!r}")
         if not (isinstance(self.d, (int, float)) and math.isfinite(self.d) and self.d > 0):
             raise DomainError(f"d must be a positive real, got {self.d!r}")
-        if self.p != INF and (self.p != int(self.p) or self.p < 1):
-            raise DomainError(f"p must be a positive integer or INF, got {self.p!r}")
+        p = self.p
+        if p != INF and not (isinstance(p, (int, float)) and not isinstance(p, bool)
+                             and p >= 1 and p % 1 == 0):
+            raise DomainError(f"p must be a positive integer or INF, got {p!r}")
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,8 @@ def test_size_caps():
         brute_force(pts)
     with pytest.raises(DomainError):
         held_karp(pts, max_points=10)
+    with pytest.raises(DomainError, match="^21 points exceeds the DP cap of 20$"):
+        held_karp(np.random.default_rng(21).uniform(0, 10, (21, 2)))
 
 
 def test_brute_force_matches_held_karp(rng):
@@ -96,11 +98,33 @@ def test_deterministic_reconstruction(rng):
     (np.random.default_rng(9).uniform(0, 10, (9, 2)), (0, 5, 4, 6, 8, 1, 2, 3, 7), 30.74203719598125),
     (np.random.default_rng(18).uniform(0, 10, (18, 2)),
      (0, 16, 15, 5, 10, 1, 4, 11, 7, 12, 2, 6, 8, 9, 3, 14, 13, 17), 36.17120753496651),
+    (np.random.default_rng(19).uniform(0, 10, (19, 2)),
+     (0, 4, 16, 2, 14, 6, 8, 10, 1, 15, 5, 11, 3, 12, 7, 17, 18, 9, 13), 34.855405859899854),
+    # the default cap
+    (np.random.default_rng(20).uniform(0, 10, (20, 2)),
+     (0, 13, 9, 6, 2, 11, 8, 14, 18, 19, 5, 4, 12, 17, 10, 16, 3, 7, 1, 15), 36.51113014543465),
 ])
 def test_held_karp_returns_the_pinned_optimal_order(points, order, length):
     tour = held_karp(points)
     assert tour.order == order
     assert tour.length == length
+
+
+def test_held_karp_convex_polygon_at_the_default_cap():
+    # points in convex position: the only optimal tour is the hull order
+    angle = 2 * np.pi * np.arange(20) / 20
+    radius = 5 + 0.01 * np.arange(20)
+    ring = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])
+    edges = np.roll(ring, -1, axis=0) - ring
+    turn = np.roll(edges, -1, axis=0)
+    assert (edges[:, 0] * turn[:, 1] - edges[:, 1] * turn[:, 0] > 0).all()  # strictly convex
+    perm = np.random.default_rng(0).permutation(20)  # ring[perm[k]] is input point k
+    tour = held_karp(ring[perm])
+    cycle = [int(perm[v]) for v in tour.order]
+    k = cycle.index(0)
+    cycle = cycle[k:] + cycle[:k]
+    assert cycle in (list(range(20)), [0] + list(range(19, 0, -1)))
+    assert tour.length == pytest.approx(np.hypot(*edges.T).sum(), rel=0, abs=1e-9)
 
 
 def test_gline_oracle_equivalence_small():

@@ -64,6 +64,21 @@ def test_bad_metric_exponent_rejected():
         InstanceSpec(n=3, d=1.0, p=1.5)
 
 
+MALFORMED_P = [None, [2], -math.inf, math.nan, True]
+
+
+@pytest.mark.parametrize("p", MALFORMED_P, ids=["null", "list", "-inf", "nan", "true"])
+def test_malformed_metric_exponent_is_a_domain_error(p):
+    # p was once passed to int() before its type was checked
+    message = "^p must be a positive integer or INF"
+    with pytest.raises(DomainError, match=message):
+        InstanceSpec(n=3, d=1.0, p=p)
+    doc = json.loads(to_json(gline_instance(3, 2.0)))
+    doc["p"] = p
+    with pytest.raises(DomainError, match=message):
+        from_json(json.dumps(doc))
+
+
 def test_distance_examples():
     assert lp_distance((0, 0), (3, 4), 2) == pytest.approx(5.0)
     assert lp_distance((0, 0), (3, 4), 1) == pytest.approx(7.0)
