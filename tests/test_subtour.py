@@ -10,8 +10,10 @@ from gaplab.exact import held_karp
 from gaplab.instances import DomainError, pairwise_distances
 from gaplab.lp_solver import REDUCED_COST_TOL, LpStatus, SparseLp, solve
 from gaplab.subtour import (
+    CORE_NEIGHBOURS,
     CutRoundLimitError,
     EdgeValueMap,
+    _quadrant_core,
     _reduced_costs,
     build_half_integral,
     closed_form_lp_value,
@@ -633,6 +635,40 @@ def test_benchmark_point_sets_match_highs(k):
     assert cuts and separate(x) is None
     assert x.objective_value == pytest.approx(highs_objective(points, [c.subset for c in cuts]),
                                               abs=1e-6)
+
+
+def reference_quadrant_core(coords, dist):
+    """The core edge set, one point and one quadrant at a time: the
+    CORE_NEIGHBOURS nearest points in each half-open quadrant (distance
+    ties to the lower index, the point and its duplicates left out), joined
+    both ways, as positions in edge_endpoints order."""
+    n = len(coords)
+    quadrants = (lambda dx, dy: dx > 0 and dy >= 0, lambda dx, dy: dx <= 0 and dy > 0,
+                 lambda dx, dy: dx < 0 and dy <= 0, lambda dx, dy: dx >= 0 and dy < 0)
+    edges = set()
+    for i in range(n):
+        for inside in quadrants:
+            near = sorted((float(dist[i, j]), j) for j in range(n)
+                          if inside(coords[j, 0] - coords[i, 0], coords[j, 1] - coords[i, 1]))
+            edges.update((min(i, j), max(i, j)) for _, j in near[:CORE_NEIGHBOURS])
+    position = {pair: k for k, pair in enumerate(zip(*(e.tolist() for e in edge_endpoints(n))))}
+    return sorted(position[e] for e in edges)
+
+
+@pytest.mark.parametrize("points, p", [
+    *((pts, 2) for pts in np.random.default_rng(7).uniform(0.0, 10.0, size=(4, 25, 2))),
+    # integer grids: distance ties, points on the quadrant axes, duplicates
+    *((pts, p) for pts, p in zip(np.random.default_rng(8).integers(0, 4, size=(6, 20, 2)),
+                                  (2, 1, math.inf, 2, 1, math.inf))),
+    (np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 2),
+    *((gline_instance(n, d).coords(), 2) for n, d in ((3, 1.0), (6, 3.0), (18, math.sqrt(17)))),
+    (gline_instance(7, 4.0, p=1).coords(), 1),
+])
+def test_quadrant_core_matches_a_point_by_point_reference(points, p):
+    coords = np.asarray(points, dtype=float)
+    dist = pairwise_distances(coords, p)
+    got = _quadrant_core(coords, dist)
+    assert got.tolist() == reference_quadrant_core(coords, dist)
 
 
 def test_loop_recovers_from_a_poor_core(monkeypatch):
