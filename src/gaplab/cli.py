@@ -3,7 +3,9 @@
 ``--d`` and ``--d-rule`` share one grammar, ``ratio.DRule.GRAMMAR``.  Only
 ``solve tour``, ``solve ratio`` and ``verify`` read the Held-Karp size cap:
 ``--held-karp-cap``, else the environment variable GAPLAB_HK_CAP, else the
-default.  Exit codes: 0 success, 1 internal failure, 2 usage or
+default.  ``solve lp`` and ``solve tour`` take ``--backend``, ``solve ratio``
+takes ``--lp-backend`` and ``--tour-backend``, and any other backend flag
+is a usage error.  Exit codes: 0 success, 1 internal failure, 2 usage or
 precondition error.  All floats print with 12 significant digits.
 """
 from __future__ import annotations
@@ -78,6 +80,12 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    given = {"--backend": args.backend, "--lp-backend": args.lp_backend,
+             "--tour-backend": args.tour_backend}
+    takes = ("--lp-backend", "--tour-backend") if args.what == "ratio" else ("--backend",)
+    for flag, value in given.items():
+        if value is not None and flag not in takes:
+            raise DomainError(f"solve {args.what} takes {' and '.join(takes)}, not {flag}")
     n = args.n
     d = DRule.parse(args.d).d_of(n)
     out = []
@@ -97,8 +105,8 @@ def cmd_solve(args) -> int:
         value = ratio.tour_value(n, d, backend, held_karp_cap(None))
         out.append(f"tour = {fmt12(value)}  [{backend.value}]")
     else:  # ratio
-        lp_mode = parse_backend(LpBackend, args.lp_backend, "--lp-backend")
-        tour_mode = parse_backend(TourBackend, args.tour_backend, "--tour-backend")
+        lp_mode = parse_backend(LpBackend, args.lp_backend or "closed-form", "--lp-backend")
+        tour_mode = parse_backend(TourBackend, args.tour_backend or "zvector", "--tour-backend")
         rep = ratio.ratio_exact(n, d, lp_mode, tour_mode, held_karp_cap(None))
         out.append(f"lp = {fmt12(rep.lp_numeric)}  [{rep.backend_lp}]")
         out.append(f"tour = {fmt12(rep.tour_numeric)}  [{rep.backend_tour}]")
@@ -253,8 +261,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--d", type=str, required=True, help=DRule.GRAMMAR)
     solve.add_argument("--backend", type=str, default=None,
                        help="lp: cutting-plane|closed-form; tour: zvector|held-karp|closed-form")
-    solve.add_argument("--lp-backend", type=str, default="closed-form")
-    solve.add_argument("--tour-backend", type=str, default="zvector")
+    solve.add_argument("--lp-backend", type=str, default=None,
+                       help="ratio only: cutting-plane|closed-form (default closed-form)")
+    solve.add_argument("--tour-backend", type=str, default=None,
+                       help="ratio only: zvector|held-karp|closed-form (default zvector)")
     solve.set_defaults(func=cmd_solve)
 
     sweep = sub.add_parser("sweep", help="ratio series over a range of n")

@@ -92,8 +92,7 @@ class EdgeValueMap:
 
 def edge_endpoints(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays of the n(n-1)/2 unordered pairs in row-major order."""
-    iu = np.triu_indices(n, k=1)
-    return iu[0], iu[1]
+    return np.triu_indices(n, k=1)
 
 
 # -- separation --------------------------------------------------------------
@@ -235,7 +234,8 @@ def separate(x: EdgeValueMap) -> frozenset[int] | None:
 def _quadrant_core(coords: np.ndarray, dist: np.ndarray) -> np.ndarray:
     """The core edge set, as ascending indices into :func:`edge_endpoints`:
     every point joined to its CORE_NEIGHBOURS nearest points in each of
-    the four half-open quadrants around it (ties to the lower index).
+    the four half-open quadrants around it (ties to the lower index).  A
+    boolean mask of the upper triangle lists them row-major, in that order.
 
     Quadrant neighbours reach across the long rungs of G(n, sqrt(n-1)),
     which plain nearest neighbours miss (Applegate, Bixby, Chvatal and
@@ -255,20 +255,20 @@ def _quadrant_core(coords: np.ndarray, dist: np.ndarray) -> np.ndarray:
         hit = quadrant == q
         pick |= hit & (np.cumsum(hit, axis=1, dtype=np.int32) <= CORE_NEIGHBOURS)
     np.put_along_axis(pick, order, pick.copy(), axis=1)  # back from distance order to point order
-    i, j = np.nonzero(np.triu(pick | pick.T, 1))  # row-major: edge_endpoints order
-    return _edge_index(i, j, n)
+    keep = pick | pick.T
+    return np.flatnonzero(keep[np.triu(np.ones_like(keep), 1)])
 
 
-def _edge_index(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    """The positions of the pairs (i, j), i < j, in :func:`edge_endpoints`."""
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
+def _inside(S, I: np.ndarray, J: np.ndarray, n: int) -> np.ndarray:
+    """Which edges (I, J) lie inside S: the one subset-to-edge map, for cut rows and pricing."""
+    inside = np.zeros(n, dtype=bool)
+    inside[list(S)] = True
+    return inside[I] & inside[J]
 
 
 def _subset_row(S, I: np.ndarray, J: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, float]:
     """The sparse row of sum_{e inside S} x_e <= |S| - 1 over the edges (I, J)."""
-    inside = np.zeros(n, dtype=bool)
-    inside[list(S)] = True
-    cols = np.flatnonzero(inside[I] & inside[J])
+    cols = np.flatnonzero(_inside(S, I, J, n))
     return cols, np.ones(len(cols)), float(len(S) - 1)
 
 
@@ -287,17 +287,15 @@ def _subtour_lp(n: int, I: np.ndarray, J: np.ndarray, costs: np.ndarray, subsets
 
 def _reduced_costs(costs: np.ndarray, I: np.ndarray, J: np.ndarray, n: int, duals: np.ndarray,
                    subsets) -> np.ndarray:
-    """c_e - y_i - y_j - sum_{S containing i, j} y_S for every edge (I, J) of
-    :func:`edge_endpoints`, from the duals of the degree rows, then of the
-    subset rows.  Each subset's dual is added over the edges inside it, so
-    no (points x points) array is built."""
+    """c_e - y_i - y_j - sum_{S containing i, j} y_S for every edge (I, J),
+    from the duals of the degree rows, then of the subset rows.  Each
+    nonzero subset dual is added over :func:`_inside`, the mask its cut row
+    is built from, so no (points x points) array is built."""
     y = duals[:n]
     potential = y[I]
     potential += y[J]
     for k in np.flatnonzero(duals[n:]):
-        inside = np.array(sorted(subsets[k]))
-        a, b = np.triu_indices(len(inside), 1)
-        potential[_edge_index(inside[a], inside[b], n)] += duals[n + k]
+        potential[_inside(subsets[k], I, J, n)] += duals[n + k]
     return np.subtract(costs, potential, out=potential)
 
 
@@ -337,14 +335,14 @@ def solve_subtour_lp(obj) -> tuple[EdgeValueMap, list[CutRecord]]:
                     break
             cols = np.concatenate([cols, new])
             lp = _subtour_lp(n, I[cols], J[cols], costs[cols], subsets)
-        values = np.zeros(len(I))
-        values[cols] = sol.values
-        x = EdgeValueMap(n, I, J, values, sol.objective_value)
+        order = np.argsort(cols)  # separate on the LP's columns, in edge_endpoints order
+        x = EdgeValueMap(n, I[cols[order]], J[cols[order]], sol.values[order], sol.objective_value)
         violated = _shrunk_violated_sets(x)
         if not violated:
-            return x, records
+            values = np.zeros(len(I))
+            values[cols] = sol.values
+            return EdgeValueMap(n, I, J, values, sol.objective_value), records
         new_sets = [(S, v) for S, v in violated if S not in subsets]
-        del x, values  # nor are the edge values, before the next round's solves
         if not new_sets:
             # a subset whose row is already present cannot stay violated beyond
             # the LP tolerance, so this is a numerical stall, not convergence

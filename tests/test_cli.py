@@ -92,6 +92,24 @@ def test_solve_lp_cutting_plane(capsys):
                    "got 'held-karp'\n")
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["tour", "--n", "6", "--d", "4", "--lp-backend", "bogus"], "--lp-backend"),
+    (["tour", "--n", "6", "--d", "4", "--tour-backend", "held-karp"], "--tour-backend"),
+    (["lp", "--n", "6", "--d", "3", "--lp-backend", "closed-form"], "--lp-backend"),
+    (["lp", "--n", "6", "--d", "3", "--tour-backend", "zvector"], "--tour-backend"),
+    (["ratio", "--n", "6", "--d", "4", "--backend", "held-karp"], "--backend"),
+    (["ratio", "--n", "6", "--d", "4", "--lp-backend", "cutting-plane",
+      "--backend", "cutting-plane"], "--backend"),
+])
+def test_solve_rejects_backend_flags_of_another_form(capsys, argv, flag):
+    # each solve form takes its own backend flags; another form's flag is a
+    # usage error, not silently ignored
+    code, out, err = run(capsys, "solve", *argv)
+    takes = "--lp-backend and --tour-backend" if argv[0] == "ratio" else "--backend"
+    assert code == 2 and out == ""
+    assert err == f"error: solve {argv[0]} takes {takes}, not {flag}\n"
+
+
 def test_solve_lp_closed_form_backend(capsys):
     code, out, _ = run(capsys, "solve", "lp", "--n", "18", "--d", "sqrt(n-1)",
                        "--backend", "closed-form")

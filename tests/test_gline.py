@@ -300,3 +300,16 @@ def test_closed_form_tour_value_bounds():
         closed_form_tour_value(17)
     with pytest.raises(DomainError):
         closed_form_tour_value(16)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: c_cost(2, 0.0),
+    lambda: insertion_cost_inner(0, 4.0),
+    lambda: insertion_cost_end(1.5, 4.0),
+    lambda: tour_from_zvector(np.zeros((6, 2)), ZVector((1, 1))),
+    lambda: zvector_tour_value(10, 3, 4.0, 0.0),
+    lambda: balanced_zvector(5, 6),
+], ids=["c_cost-d", "inner-k", "end-k", "tour-raw-array", "value-odd-k", "balanced-k"])
+def test_input_checks_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +10,7 @@ from gaplab.instances import (
     DomainError,
     InstanceSpec,
     Role,
+    coerce_points,
     distance,
     export,
     from_json,
@@ -177,3 +179,18 @@ def test_pairwise_matches_scalar(rng):
         for i in range(7):
             for j in range(7):
                 assert mat[i, j] == pytest.approx(lp_distance(pts[i], pts[j], p))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gline_instance(4, 3.0).index_of(0, 1),
+    lambda: coerce_points(np.zeros((4, 3))),
+    lambda: to_tsplib(gline_instance(4, 3.0), scale=0),
+], ids=["index_of-col", "coerce-shape", "tsplib-scale"])
+def test_input_checks_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_from_json_reads_bytes():
+    inst = gline_instance(4, 3.0)
+    assert from_json(to_json(inst).encode("utf-8")) == inst

@@ -7,6 +7,7 @@ import types
 import pytest
 
 import gaplab
+from gaplab.ratio import CSV_COLUMNS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -20,11 +21,11 @@ def test_all_exports_public_names_not_submodules():
 
 
 @pytest.mark.parametrize("argv, summary", [
-    (["convergence_sweep.py", "--max-n", "100", "--out-dir", "{tmp}"],
-     ["    sqrt-n-1: 41 rows -> {tmp}/ratio_sqrt-n-1.csv",
-      "     const:4: 41 rows -> {tmp}/ratio_const4.csv"]),
-    (["adjudicate_lp_constant.py", "--n-max", "4"],
-     ["3n-4: 5 grid points", "integral 3n: 1 grid points",
+    (["convergence_sweep.py", "--max-n", "5000", "--out-dir", "{tmp}"],
+     ["    sqrt-n-1: 78 rows -> {tmp}/ratio_sqrt-n-1.csv",
+      "     const:4: 78 rows -> {tmp}/ratio_const4.csv"]),
+    (["adjudicate_lp_constant.py", "--n-max", "5"],
+     ["3n-4: 8 grid points", "integral 3n: 1 grid points",
       "verdict: the 3n-4 constant is the one numeric optima support"]),
 ])
 def test_scripts_run(tmp_path, argv, summary):
@@ -37,6 +38,13 @@ def test_scripts_run(tmp_path, argv, summary):
     lines = proc.stdout.splitlines()
     for line in summary:
         assert line.format(tmp=tmp_path) in lines
+    if summary[-1].startswith("verdict:"):
+        assert lines[-1] == summary[-1]  # the verdict closes the report
+    # every CSV a script reports writing has the columns of the package's reports
+    for line in lines:
+        if " rows -> " in line:
+            header = pathlib.Path(line.split(" rows -> ")[1]).read_text().splitlines()[0]
+            assert header.split(",") == CSV_COLUMNS
 
 
 def test_python_dash_m_runs_the_cli():

@@ -12,6 +12,7 @@ from gaplab.ratio import (
     closed_form_ratio,
     closed_form_tour,
     f_argmin,
+    lp_value,
     ratio_exact,
     ratio_lower_bound,
     sweep,
@@ -236,3 +237,14 @@ def test_closed_form_tour_domain():
     assert tour_value(18, SQRT17, TourBackend.CLOSED_FORM) == gline.closed_form_tour_value(18)
     with pytest.raises(DomainError):
         tour_value(34, 4.0, TourBackend.CLOSED_FORM)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: f_argmin(7, 4.0),
+    lambda: tour_value(6, 4.0, "zvector"),
+    lambda: lp_value(6, 4.0, "cutting-plane"),
+    lambda: DRule("bogus", 0.0).d_of(5),
+], ids=["f_argmin-odd-n", "tour-string-backend", "lp-string-backend", "unknown-rule-kind"])
+def test_input_checks_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()

@@ -16,6 +16,7 @@ from gaplab.subtour import (
     _quadrant_core,
     _reduced_costs,
     build_half_integral,
+    closed_form_lp_holds,
     closed_form_lp_value,
     closed_form_lp_value_variant,
     connected_components,
@@ -760,3 +761,18 @@ def test_half_integral_witness_in_other_metrics():
         assert witness.max_degree_violation() <= 1e-12
         x, _ = solve_subtour_lp(inst)
         assert x.objective_value <= witness.objective_value + 1e-7
+
+
+@pytest.mark.parametrize("call", [
+    lambda: stoer_wagner(np.zeros((1, 1))),
+    lambda: build_half_integral(gline_instance(2, 4.0)),
+    lambda: closed_form_lp_value(5, 0.0),
+], ids=["stoer_wagner-one-vertex", "witness-n2", "closed-form-d"])
+def test_input_checks_raise_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("n, d, holds", [(5, 4.0, True), (4, 1.0, False)])
+def test_closed_form_lp_holds(n, d, holds):
+    assert closed_form_lp_holds(n, d) is holds
