@@ -105,6 +105,7 @@ def test_json_round_trip():
     inst = gline_instance(4, 4.0)
     again = from_json(to_json(inst))
     assert again == inst
+    assert from_json(to_json(inst).encode("utf-8")) == inst  # bytes are decoded as UTF-8
 
 
 def test_json_round_trip_inf_metric():
@@ -189,8 +190,3 @@ def test_pairwise_matches_scalar(rng):
 def test_input_checks_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
-
-
-def test_from_json_reads_bytes():
-    inst = gline_instance(4, 3.0)
-    assert from_json(to_json(inst).encode("utf-8")) == inst

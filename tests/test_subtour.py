@@ -288,6 +288,7 @@ def test_closed_form_region_boundary():
     for n in (4, 6, 8):
         above, below = d_star(n) + 1e-3, d_star(n) - 1e-3
         assert closed_form_lp_value(n, above) == lp_form(n, above)
+        assert closed_form_lp_holds(n, above) and not closed_form_lp_holds(n, below)
         x, _ = solve_subtour_lp(gline_instance(n, above))
         assert x.objective_value == pytest.approx(lp_form(n, above), abs=1e-5)
         with pytest.raises(DomainError):
@@ -771,8 +772,3 @@ def test_half_integral_witness_in_other_metrics():
 def test_input_checks_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
-
-
-@pytest.mark.parametrize("n, d, holds", [(5, 4.0, True), (4, 1.0, False)])
-def test_closed_form_lp_holds(n, d, holds):
-    assert closed_form_lp_holds(n, d) is holds
