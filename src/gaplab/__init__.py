@@ -25,7 +25,6 @@ from .subtour import (
     EdgeValueMap,
     build_half_integral,
     closed_form_lp_value,
-    closed_form_lp_value_variant,
     separate,
     solve_subtour_lp,
 )
@@ -34,7 +33,7 @@ __all__ = [
     "CutRecord", "DRule", "DomainError", "EdgeValueMap", "INF", "Instance", "InstanceSpec",
     "LpBackend", "LpSolution", "LpStatus", "RatioReport", "Role", "SparseLp", "Tour",
     "TourBackend", "ZTour", "ZVector", "brute_force", "build_half_integral", "c_cost",
-    "closed_form_lp_value", "closed_form_lp_value_variant", "closed_form_tour_value",
+    "closed_form_lp_value", "closed_form_tour_value",
     "distance", "export", "f_argmin", "f_value", "from_json", "generate", "held_karp",
     "insertion_cost_end", "insertion_cost_inner", "optimal_zvector", "ratio_exact",
     "ratio_lower_bound", "separate", "solve", "solve_subtour_lp", "sqrt_inequality_check",

@@ -99,7 +99,6 @@ def cmd_solve(args) -> int:
             pass  # the form does not hold here, so it is not printed
         else:
             out.append(f"lp_closed = {fmt12(closed)}")
-            out.append(f"lp_closed_variant = {fmt12(closed + 1.0)}")  # closed_form_lp_value_variant
     elif args.what == "tour":
         backend = parse_backend(TourBackend, args.backend or "zvector", "--backend")
         value = ratio.tour_value(n, d, backend, held_karp_cap(None))
@@ -113,14 +112,14 @@ def cmd_solve(args) -> int:
         out.append(f"ratio = {fmt12(rep.ratio_numeric)}")
         if not math.isnan(rep.ratio_closed):
             out.append(f"ratio_closed = {fmt12(rep.ratio_closed)}")
-            out.append(f"ratio_closed_variant = {fmt12(rep.ratio_closed_variant)}")
     print("\n".join(out))
     return 0
 
 
 def parse_range(text: str) -> list[int]:
     parts = text.split(":")
-    if len(parts) not in (2, 3) or not all(p.lstrip("-").isdigit() for p in parts):
+    if len(parts) not in (2, 3) or not all(p.isascii() and p.removeprefix("-").isdigit()
+                                           for p in parts):
         raise DomainError(f"range must be START:STOP[:STEP], got {text!r}")
     start, stop = int(parts[0]), int(parts[1])
     step = int(parts[2]) if len(parts) == 3 else 1

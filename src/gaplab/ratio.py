@@ -45,8 +45,7 @@ class RatioReport:
     """Per-(n, d) record of LP value, tour value, and their ratio.
 
     ``*_numeric`` holds the value produced by the selected backend,
-    ``*_closed`` the closed-form counterpart where one exists.  The LP
-    closed form is carried in both candidate-constant variants.  The
+    ``*_closed`` the closed-form counterpart where one exists.  The
     fields are declared in sweep-CSV column order; that order is the
     schema (:data:`CSV_COLUMNS`).
     """
@@ -61,8 +60,6 @@ class RatioReport:
     ratio_closed: float = math.nan
     backend_lp: str = ""
     backend_tour: str = ""
-    lp_closed_variant: float = math.nan
-    ratio_closed_variant: float = math.nan
     error: str = ""
 
     @property
@@ -171,14 +168,12 @@ def _fill(report: RatioReport, lp_mode: LpBackend, tour_mode: TourBackend,
         lp_closed = math.nan
     report.lp_numeric = lp_closed if lp_mode is LpBackend.CLOSED_FORM else lp_value(n, d, lp_mode)
     report.lp_closed = lp_closed
-    report.lp_closed_variant = lp_closed + 1.0  # closed_form_lp_value_variant
     report.tour_numeric = tour_value(n, d, tour_mode, held_karp_cap)
     report.tour_closed = (report.tour_numeric if tour_mode is TourBackend.CLOSED_FORM
                           else closed_form_tour(n, d))
     report.backend_tour = tour_mode.value
     report.ratio_numeric = report.tour_numeric / report.lp_numeric
     report.ratio_closed = report.tour_closed / lp_closed
-    report.ratio_closed_variant = report.tour_closed / report.lp_closed_variant
     return report
 
 

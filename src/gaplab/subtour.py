@@ -438,23 +438,3 @@ def closed_form_lp_value(n: int, d: float) -> float:
         raise DomainError(f"closed LP form {value:.12g} does not hold at n={n} d={d:g}: "
                           f"a grid tour of length {tour:.12g} is shorter")
     return value
-
-
-def closed_form_lp_value_variant(n: int, d: float) -> float:
-    """Variant closed form 3n - 3 + 3d + sqrt(d^2 + 1), on the region of
-    :func:`closed_form_lp_value`.
-
-    Two candidate constants (3n - 4 versus 3n - 3) circulate for the same
-    quantity; reports carry both so that numeric solves can adjudicate.
-    The cutting-plane optimum matches :func:`closed_form_lp_value`.
-    """
-    return closed_form_lp_value(n, d) + 1.0
-
-
-def closed_form_lp_holds(n: int, d: float) -> bool:
-    """Whether :func:`closed_form_lp_value` returns a value for G(n, d)."""
-    try:
-        closed_form_lp_value(n, d)
-    except DomainError:
-        return False
-    return True

@@ -115,8 +115,7 @@ def test_solve_lp_closed_form_backend(capsys):
                        "--backend", "closed-form")
     assert code == 0
     assert out.splitlines() == ["lp = 66.611957564  [closed_form]",
-                                "lp_closed = 66.611957564",
-                                "lp_closed_variant = 67.611957564"]
+                                "lp_closed = 66.611957564"]
     code, out, err = run(capsys, "solve", "lp", "--n", "4", "--d", "1", "--backend", "closed-form")
     assert code == 2
     assert out == ""
@@ -130,8 +129,7 @@ def test_solve_lp_omits_the_closed_form_where_it_refuses(capsys):
     assert out == "lp = 12  [cutting_plane]\n"
     code, out, _ = run(capsys, "solve", "lp", "--n", "5", "--d", "1")
     assert code == 0
-    assert out.splitlines()[1:] == [f"lp_closed = {14 + math.sqrt(2):.12g}",
-                                    f"lp_closed_variant = {15 + math.sqrt(2):.12g}"]
+    assert out.splitlines()[1:] == [f"lp_closed = {14 + math.sqrt(2):.12g}"]
 
 
 def test_sweep_csv_output(tmp_path, capsys):
@@ -156,7 +154,7 @@ def test_sweep_error_rows_keep_the_columns(capsys):
     code, out, _ = run(capsys, "sweep", "--n", "5:7", "--d-rule", "const:4")
     assert code == 0
     rows = list(csv.reader(out.splitlines()))
-    assert len(rows) == 4 and all(len(row) == 13 for row in rows)
+    assert len(rows) == 4 and all(len(row) == 11 for row in rows)
     assert [row[-1] for row in rows[1:]] == ["n must be even and >= 4, got 5", "",
                                              "n must be even and >= 4, got 7"]
     # a rule with no finite d at some n leaves d empty there and says why
@@ -166,7 +164,7 @@ def test_sweep_error_rows_keep_the_columns(capsys):
         assert code == 0
         rows = list(csv.reader(out.splitlines()))
         assert [row[0] for row in rows[1:]] == [str(n) for n in parse_range(n_range)]
-        assert all(len(row) == 13 for row in rows)
+        assert all(len(row) == 11 for row in rows)
         for row in rows[1:]:
             if row[0] in no_d:
                 assert (row[1], row[-1]) == ("", f"d-rule {rule} has no finite value at n={row[0]}")
@@ -239,8 +237,7 @@ def test_config_validation(monkeypatch):
 def test_solve_ratio_reports_the_sqrt_half_closed_form(capsys):
     code, out, _ = run(capsys, "solve", "ratio", "--n", "34", "--d", "sqrt(n/2-1)")
     assert code == 0
-    assert "ratio_closed = " in out and "ratio_closed_variant = " in out
-    assert f"ratio_closed = {138 / (3 * 34 - 4 + 12 + math.sqrt(17)):.12g}" in out
+    assert out.splitlines()[-1] == f"ratio_closed = {138 / (3 * 34 - 4 + 12 + math.sqrt(17)):.12g}"
 
 
 def test_d_spellings_are_interchangeable(capsys):
@@ -264,8 +261,14 @@ def test_parse_range_forms():
     assert parse_range("18:24:2") == [18, 20, 22, 24]
     assert parse_range("3:5") == [3, 4, 5]
     assert parse_range("5:3") == []
+    assert parse_range("-2:0") == [-2, -1, 0]
     with pytest.raises(DomainError):
         parse_range("1:10:0")
+    # each part is an optional "-" then ASCII digits: a doubled sign or a
+    # superscript digit is a malformed range, not an int() failure
+    for text in ("--18:20", "\u00b2:20", "18:20:", "18"):
+        with pytest.raises(DomainError, match="range must be START:STOP"):
+            parse_range(text)
 
 
 def test_run_verify_reports_structured_checks():

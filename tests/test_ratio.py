@@ -31,8 +31,7 @@ def test_reference_ratio_closed_forms():
     want = (68 + 2 * SQRT17) / (50 + 3 * SQRT17 + math.sqrt(18))
     assert rep.ratio_numeric == pytest.approx(want, abs=1e-12)
     assert f"{rep.ratio_numeric:.3g}" == "1.14"
-    assert rep.lp_closed_variant == pytest.approx(rep.lp_closed + 1.0)
-    assert rep.ratio_closed_variant < rep.ratio_closed
+    assert rep.ratio_closed == rep.ratio_numeric
 
 
 def test_ratio_exact_held_karp_and_cutting_plane():
@@ -131,7 +130,7 @@ def test_sweep_unit_spacing_rows_leave_the_lp_empty():
     reports = sweep([4, 6, 8], DRule.parse("const:1"))
     for r in reports:
         assert math.isnan(r.lp_numeric) and math.isnan(r.lp_closed)
-        assert math.isnan(r.lp_closed_variant) and math.isnan(r.ratio_numeric)
+        assert math.isnan(r.ratio_numeric)
         assert "grid tour" in r.error
     rows = sweep_csv(reports).splitlines()[1:]
     assert [row.split(",")[:4] for row in rows] == [["4", "1", "", ""], ["6", "1", "", ""],
@@ -142,8 +141,7 @@ def test_ratio_exact_where_the_closed_lp_form_refuses():
     rep = ratio_exact(6, 1.0, LpBackend.CUTTING_PLANE, TourBackend.HELD_KARP)
     assert rep.lp_numeric == pytest.approx(18.0, abs=1e-6)
     assert rep.tour_numeric == pytest.approx(18.0, abs=1e-9)
-    assert math.isnan(rep.lp_closed) and math.isnan(rep.lp_closed_variant)
-    assert math.isnan(rep.ratio_closed) and math.isnan(rep.ratio_closed_variant)
+    assert math.isnan(rep.lp_closed) and math.isnan(rep.ratio_closed)
     with pytest.raises(DomainError):
         ratio_exact(6, 1.0, LpBackend.CLOSED_FORM, TourBackend.HELD_KARP)
 
@@ -153,8 +151,7 @@ def test_sweep_csv_layout():
     lines = text.strip().splitlines()
     # RatioReport's field order is the schema; pin it
     assert lines[0] == ("n,d,lp_numeric,lp_closed,tour_numeric,tour_closed,ratio_numeric,"
-                        "ratio_closed,backend_lp,backend_tour,lp_closed_variant,"
-                        "ratio_closed_variant,error")
+                        "ratio_closed,backend_lp,backend_tour,error")
     assert len(lines) == 3
     assert lines[1].startswith("18,")
 
@@ -224,7 +221,7 @@ def test_closed_tour_forms_attach_by_n_and_d():
     const4 = sweep([34], DRule.parse("const:4"))[0]
     half = sweep([34], DRule.parse("sqrt-half"))[0]
     assert const4.tour_closed == 138
-    for name in ("tour_closed", "ratio_closed", "ratio_closed_variant"):
+    for name in ("lp_closed", "tour_closed", "ratio_closed"):
         assert getattr(const4, name) == getattr(half, name)
 
 

@@ -16,9 +16,7 @@ from gaplab.subtour import (
     _quadrant_core,
     _reduced_costs,
     build_half_integral,
-    closed_form_lp_holds,
     closed_form_lp_value,
-    closed_form_lp_value_variant,
     connected_components,
     edge_endpoints,
     grid_tour_length,
@@ -150,12 +148,21 @@ def test_connected_components():
     assert comps == [[0, 1], [2, 3], [4]]
 
 
-@pytest.mark.parametrize("n,d", [(3, 4.0), (6, 3.0), (18, 3.0)])
+MIN_CUT_POINTS = [(3, 4.0), (6, 3.0), (18, 3.0)]
+
+
+@pytest.mark.parametrize("n,d", list(dict.fromkeys(MIN_CUT_POINTS + [
+    (n, d) for n in range(3, 25) for d in (0.5, 1.0, 1.2, 2.0, 4.0, math.sqrt(n - 1))])))
 def test_half_integral_witness_invariants(n, d):
+    # the witness is subtour-feasible with value 3n - 4 + 3d + sqrt(d^2 + 1)
+    # everywhere, so the LP optimum never reaches a 3n - 3 constant
     witness = build_half_integral(gline_instance(n, d))
     assert witness.max_degree_violation() <= 1e-12
-    assert witness.min_cut() >= 2 - 1e-12
-    assert witness.objective_value == pytest.approx(closed_form_lp_value(n, d), abs=1e-9)
+    assert separate(witness) is None
+    if (n, d) in MIN_CUT_POINTS:
+        assert witness.min_cut() >= 2 - 1e-12
+    assert witness.objective_value == pytest.approx(
+        3 * n - 4 + 3 * d + math.hypot(d, 1.0), abs=1e-9)
     assert set(witness.values.tolist()) <= {0.5, 1.0}
 
 
@@ -180,7 +187,6 @@ def test_closed_form_values():
     assert closed_form_lp_value(18, math.sqrt(17)) \
         == pytest.approx(50 + 3 * math.sqrt(17) + math.sqrt(18), abs=1e-12)
     assert closed_form_lp_value(3, 4.0) == pytest.approx(17 + math.sqrt(17), abs=1e-12)
-    assert closed_form_lp_value_variant(3, 4.0) == pytest.approx(18 + math.sqrt(17), abs=1e-12)
     with pytest.raises(DomainError):
         closed_form_lp_value(2, 1.0)
 
@@ -275,8 +281,6 @@ def test_closed_form_refusals_are_undercut_by_a_grid_tour():
             assert length == pytest.approx(grid_tour_length(n, d), abs=1e-9)
             assert held_karp(inst).length == pytest.approx(length, abs=1e-9)
             assert length < lp_form(n, d) - 1e-3
-            with pytest.raises(DomainError):
-                closed_form_lp_value_variant(n, d)
     assert refused == [(3, 0.5), (3, 0.9), (4, 0.5), (4, 0.9), (4, 1.0), (4, 1.1),
                        (5, 0.5), (5, 0.9), (6, 0.5), (6, 0.9), (6, 1.0)]
 
@@ -288,7 +292,6 @@ def test_closed_form_region_boundary():
     for n in (4, 6, 8):
         above, below = d_star(n) + 1e-3, d_star(n) - 1e-3
         assert closed_form_lp_value(n, above) == lp_form(n, above)
-        assert closed_form_lp_holds(n, above) and not closed_form_lp_holds(n, below)
         x, _ = solve_subtour_lp(gline_instance(n, above))
         assert x.objective_value == pytest.approx(lp_form(n, above), abs=1e-5)
         with pytest.raises(DomainError):
@@ -307,7 +310,6 @@ def test_closed_form_unchanged_outside_the_refusals():
     for n in range(3, 41):
         for d in (1.2, 1.5, 2.0, 3.0, 4.0, math.sqrt(n - 1) + 1.2):
             assert closed_form_lp_value(n, d) == 3.0 * n - 4.0 + 3.0 * d + math.hypot(d, 1.0)
-            assert closed_form_lp_value_variant(n, d) == closed_form_lp_value(n, d) + 1.0
 
 
 def directed_subtour_optimum(points):
