@@ -21,7 +21,10 @@ is convex in k, being the perspective of a convex function.
 ``optimal_zvector`` therefore evaluates a window of even k that grows until
 both its edges rise outward by more than a stated rounding margin, which
 certifies the window holds the minimum of all even k, and compares that
-minimum with k = 1.
+minimum with k = 1.  ``optimal_zvectors`` runs that search on many (n, d)
+rows together, as a sweep does: each row keeps its own certified window,
+and the windows are evaluated as one flat array, in blocks of bounded
+size.  ``optimal_zvector`` is its one-row case.
 """
 from __future__ import annotations
 
@@ -200,15 +203,25 @@ def balanced_zvector(n: int, k: int) -> ZVector:
     return ZVector(entries=tuple([q] * (k - r) + [q + 1] * r))
 
 
-def _even_k_values(n: int, d: float, ks: np.ndarray) -> np.ndarray:
-    """Formula lengths V(k) of the balanced z-vectors with the even lengths ks."""
+def _even_k_values(n, d, ks: np.ndarray) -> np.ndarray:
+    """Formula lengths V(k) of the balanced z-vectors with the even lengths
+    ks; n and d are scalars or arrays shaped like ks."""
     q, r = n // ks, n % ks
-    sum_c = (ks - r) * (2.0 * (q - 1) + np.hypot(q - 1, d)) \
-        + r * (2.0 * q + np.hypot(q, d))
-    return n + ks + 2.0 * d - 2.0 + sum_c
+    # c(q) and c(q + 1) depend on (q, d) alone, and q = n // k changes rarely
+    # from one k to the next: evaluate them once per run of equal (q, d)
+    new = np.ones(len(ks) + 1, dtype=bool)
+    new[1:-1] = q[1:] != q[:-1]
+    if np.ndim(d):
+        new[1:-1] |= d[1:] != d[:-1]
+    bounds = new.nonzero()[0]
+    run, size = bounds[:-1], bounds[1:] - bounds[:-1]
+    q_run, d_run = q[run], d[run] if np.ndim(d) else d
+    c_q = (2.0 * (q_run - 1) + np.hypot(q_run - 1, d_run)).repeat(size)
+    c_next = (2.0 * q_run + np.hypot(q_run, d_run)).repeat(size)
+    return n + ks + 2.0 * d - 2.0 + ((ks - r) * c_q + r * c_next)
 
 
-# Relative float-rounding margin of the windowed search in optimal_zvector.
+# Relative float-rounding margin of the windowed search in optimal_zvectors.
 # Each computed V(k) is formed with at most ten roundings of relative size
 # u = 2^-53 (hypot included), and every partial sum lies below V(k) + 2, so
 # the computed value is within rho = 2^-49 of the exact one, relatively.  If
@@ -219,6 +232,92 @@ def _even_k_values(n: int, d: float, ks: np.ndarray) -> np.ndarray:
 # rho).  The margin 2^-44 = 32 rho leaves a factor 8 over that.  Two such
 # nearby positive values subtract exactly (Sterbenz), so D carries no error.
 _SLOPE_MARGIN = 2.0 ** -44
+
+# Most window values optimal_zvectors evaluates at once (a row whose window
+# alone is larger runs by itself); bounds its temporaries to a few MB.
+_BLOCK_VALUES = 2 ** 15
+
+
+def _check_zvector_row(n: int, d: float) -> None:
+    if n % 2 or n < 4:
+        raise DomainError(f"n must be even and >= 4, got {n}")
+    _require_min_gap(d)
+    if not math.isfinite(d):
+        raise DomainError(f"row spacing d must be finite, got {d!r}")
+
+
+def _search_windows(n, d, lo, hi, last):
+    """One window of even k = 2 lo .. 2 hi per row, flattened into one
+    array: whether both edges of each window are certified, and each
+    window's first argmin k and its value."""
+    width = hi - lo + 1
+    ends = width.cumsum()
+    starts = ends - width
+    ks = 2 * (np.arange(ends[-1]) - (starts - lo).repeat(width))
+    vals = _even_k_values(n.repeat(width), d.repeat(width), ks)
+    first, second = vals[starts], vals[starts + 1]
+    right, inner = vals[ends - 1], vals[ends - 2]
+    certified = ((lo == 1) | (first - second > _SLOPE_MARGIN * first)) \
+        & ((hi == last) | (right - inner > _SLOPE_MARGIN * right))
+    mins = np.minimum.reduceat(vals, starts)
+    hits = (vals == mins.repeat(width)).nonzero()[0]
+    return certified, ks[hits[hits.searchsorted(starts)]], mins
+
+
+def optimal_zvectors(ns, ds) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`optimal_zvector` of every row (ns[i], ds[i]), searched together.
+
+    Returns the int64 lengths k and the float64 formula lengths, each
+    equal to what ``optimal_zvector(ns[i], ds[i])`` returns, bit for bit:
+    every row keeps its own certified window and its own doubling.  The
+    windows of many rows are evaluated as one flat array, in blocks of at
+    most ``_BLOCK_VALUES`` values, so that a long sweep pays the numpy call
+    overhead per block rather than per row, with bounded memory.  Raises
+    the DomainError of the first row outside the domain (n even >= 4,
+    finite d >= 4).
+    """
+    ns = np.asarray(ns, dtype=np.int64)
+    ds = np.asarray(ds, dtype=float)
+    if ns.ndim != 1 or ns.shape != ds.shape:
+        raise DomainError(f"need two equal-length 1-d sequences, got shapes {ns.shape} and {ds.shape}")
+    bad = (ns % 2 != 0) | (ns < 4) | ~((ds >= MIN_ROW_GAP) & np.isfinite(ds))
+    if bad.any():
+        i = int(np.argmax(bad))
+        _check_zvector_row(int(ns[i]), float(ds[i]))
+    last = ns // 2  # even k = 2j for j = 1..last
+    q_star = (ds * ds + 1.0) / 2.0
+    centre = np.minimum(np.maximum(np.rint(ns / (2.0 * q_star)).astype(np.int64), 1), last)
+    # V is linear in k while n // k stays put, kinked at k = n/q; start one
+    # kink spacing (about n/q*^2 in k) to each side, which usually certifies
+    half = np.ceil(ns / (2.0 * q_star * q_star)).astype(np.int64) + 2
+    ks = np.empty(len(ns), dtype=np.int64)
+    values = np.empty(len(ns))
+    rows = np.arange(len(ns))
+    while rows.size:
+        lo = np.maximum(centre[rows] - half[rows], 1)
+        hi = np.minimum(centre[rows] + half[rows], last[rows])
+        ends = (hi - lo + 1).cumsum()
+        failed = []
+        a = 0
+        while a < rows.size:
+            # the rows from a whose windows end within _BLOCK_VALUES, at least one
+            base = ends[a - 1] if a else 0
+            b = max(int(ends.searchsorted(base + _BLOCK_VALUES, side="right")), a + 1)
+            block = rows[a:b]
+            certified, block_ks, block_values = _search_windows(
+                ns[block], ds[block], lo[a:b], hi[a:b], last[block])
+            ks[block], values[block] = block_ks, block_values
+            failed.append(block[~certified])
+            a = b
+        rows = np.concatenate(failed)
+        half[rows] *= 2
+    # k = 1 can only tie the even minimum, in floats; take its value from
+    # zvector_tour_value, since math.hypot and np.hypot may differ in the last bit
+    for i, (n, d, v) in enumerate(zip(ns.tolist(), ds.tolist(), values.tolist())):
+        v1 = zvector_tour_value(n, 1, d, 0.0)
+        if v1 <= v:
+            ks[i], values[i] = 1, v1
+    return ks, values
 
 
 def optimal_zvector(n: int, d: float) -> tuple[int, float]:
@@ -237,31 +336,13 @@ def optimal_zvector(n: int, d: float) -> tuple[int, float]:
     value as small.  The window starts around k = n / q*, where
     q* = (d^2 + 1)/2 minimises (c(q) + 1)/q over real q, and doubles until
     both edges are certified or it covers 2..n; the start only affects the
-    speed.  Requires n even >= 4, d >= 4.
+    speed.  This is the one-row case of :func:`optimal_zvectors`, which a
+    sweep calls on all its rows at once.  Requires n even >= 4 and finite
+    d >= 4.
     """
-    if n % 2 or n < 4:
-        raise DomainError(f"n must be even and >= 4, got {n}")
-    _require_min_gap(d)
-    last = n // 2  # even k = 2j for j = 1..last
-    q_star = (d * d + 1.0) / 2.0
-    centre = min(max(round(n / (2.0 * q_star)), 1), last)
-    # V is linear in k while n // k stays put, kinked at k = n/q; start one
-    # kink spacing (about n/q*^2 in k) to each side, which usually certifies
-    half = math.ceil(n / (2.0 * q_star * q_star)) + 2
-    while True:
-        lo, hi = max(centre - half, 1), min(centre + half, last)
-        ks = 2 * np.arange(lo, hi + 1)
-        vals = _even_k_values(n, d, ks)
-        left_ok = lo == 1 or vals[0] - vals[1] > _SLOPE_MARGIN * vals[0]
-        right_ok = hi == last or vals[-1] - vals[-2] > _SLOPE_MARGIN * vals[-1]
-        if left_ok and right_ok:
-            break
-        half *= 2
-    i = int(np.argmin(vals))
-    v1 = zvector_tour_value(n, 1, d, 0.0)
-    if v1 <= vals[i]:
-        return 1, v1
-    return int(ks[i]), float(vals[i])
+    _check_zvector_row(n, d)
+    ks, values = optimal_zvectors([n], [d])
+    return int(ks[0]), float(values[0])
 
 
 def f_value(k: float, d: float, n: float) -> float:

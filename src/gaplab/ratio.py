@@ -67,18 +67,14 @@ class RatioReport:
         return self.tour_numeric - self.tour_closed
 
     def csv_row(self) -> list[str]:
-        return [_csv_cell(v) for v in _csv_values(self)]
+        """Each field as a CSV cell: a float to 12 significant digits (NaN
+        as empty), anything else as str."""
+        return [("" if v != v else f"{v:.12g}") if isinstance(v, float) else str(v)
+                for v in _csv_values(self)]
 
 
 CSV_COLUMNS = [f.name for f in fields(RatioReport)]
 _csv_values = attrgetter(*CSV_COLUMNS)
-
-
-def _csv_cell(v) -> str:
-    """A float to 12 significant digits (NaN as empty), anything else as str."""
-    if isinstance(v, float):
-        return "" if math.isnan(v) else f"{v:.12g}"
-    return str(v)
 
 
 def closed_form_ratio(n: int) -> float:
@@ -154,24 +150,27 @@ def lp_value(n: int, d: float, backend: LpBackend) -> float:
 
 
 def _fill(report: RatioReport, lp_mode: LpBackend, tour_mode: TourBackend,
+          names: tuple[str, str], tour: float | None = None,
           held_karp_cap: int = exact.HELD_KARP_DEFAULT_CAP) -> RatioReport:
     """Set the LP fields, then the tour fields, then the ratios, evaluating
     each closed form once; a DomainError propagates and leaves the fields
-    set so far in place."""
+    set so far in place.  ``names`` are the two modes' values, and ``tour``,
+    when given, is the tour backend's value at (n, d), found beforehand."""
     n, d = report.n, report.d
-    report.backend_lp = lp_mode.value
+    report.backend_lp = names[0]
+    lp_closed_form = lp_mode is LpBackend.CLOSED_FORM
     try:
         lp_closed = subtour.closed_form_lp_value(n, d)
     except DomainError:
-        if lp_mode is LpBackend.CLOSED_FORM:
+        if lp_closed_form:
             raise
         lp_closed = math.nan
-    report.lp_numeric = lp_closed if lp_mode is LpBackend.CLOSED_FORM else lp_value(n, d, lp_mode)
+    report.lp_numeric = lp_closed if lp_closed_form else lp_value(n, d, lp_mode)
     report.lp_closed = lp_closed
-    report.tour_numeric = tour_value(n, d, tour_mode, held_karp_cap)
+    report.tour_numeric = tour if tour is not None else tour_value(n, d, tour_mode, held_karp_cap)
     report.tour_closed = (report.tour_numeric if tour_mode is TourBackend.CLOSED_FORM
                           else closed_form_tour(n, d))
-    report.backend_tour = tour_mode.value
+    report.backend_tour = names[1]
     report.ratio_numeric = report.tour_numeric / report.lp_numeric
     report.ratio_closed = report.tour_closed / lp_closed
     return report
@@ -187,7 +186,8 @@ def ratio_exact(n: int, d: float,
     (:func:`subtour.closed_form_lp_value`, :func:`closed_form_tour`) and
     stay NaN elsewhere; the CLOSED_FORM backends raise DomainError there.
     """
-    return _fill(RatioReport(n=n, d=float(d)), lp_mode, tour_mode, held_karp_cap)
+    return _fill(RatioReport(n=n, d=float(d)), lp_mode, tour_mode,
+                 (lp_mode.value, tour_mode.value), held_karp_cap=held_karp_cap)
 
 
 # -- d-growth rules and sweeps --------------------------------------------------
@@ -250,20 +250,39 @@ class DRule:
 def sweep(n_values, d_rule: DRule) -> list[RatioReport]:
     """One RatioReport per n, ordered by n, each the :func:`ratio_exact`
     report with the closed LP form and the proven closed tour form where it
-    holds, else the z-vector optimum (:func:`gline.optimal_zvector`).
+    holds, else the z-vector optimum.  The rows that take the z-vector
+    optimum are searched together by one :func:`gline.optimal_zvectors`
+    call, in blocks of bounded size, each row in its own certified window;
+    rows outside its domain get :func:`gline.optimal_zvector`'s error.
     Per-row failures are recorded in the row and the sweep continues."""
-    reports = []
-    # an Enum member lookup costs about 0.2 µs; look them up once, not per row
-    lp, closed, zvector = LpBackend.CLOSED_FORM, TourBackend.CLOSED_FORM, TourBackend.ZVECTOR
+    reports, proven = [], []
     for n in n_values:
-        n = int(n)
-        report = RatioReport(n=n, d=math.nan)
+        report = RatioReport(n=int(n), d=math.nan)
         try:
-            report.d = d = d_rule.d_of(n)
-            _fill(report, lp, closed if proven_tour_form_holds(n, d) else zvector)
+            report.d = d_rule.d_of(report.n)
         except DomainError as exc:
             report.error = str(exc)
         reports.append(report)
+        proven.append(not report.error and proven_tour_form_holds(report.n, report.d))
+    # the z-vector rows inside the search's domain; the others raise its error in _fill
+    searched = [i for i, r in enumerate(reports) if not (r.error or proven[i])
+                and r.n % 2 == 0 and r.n >= 4 and r.d >= gline.MIN_ROW_GAP]
+    tours = [None] * len(reports)
+    _, values = gline.optimal_zvectors([reports[i].n for i in searched],
+                                       [reports[i].d for i in searched])
+    for i, value in zip(searched, values.tolist()):
+        tours[i] = value
+    # Enum member and .value lookups cost about 0.2 µs each; do them once, not per row
+    lp, closed, zvector = LpBackend.CLOSED_FORM, TourBackend.CLOSED_FORM, TourBackend.ZVECTOR
+    closed_names, zvector_names = (lp.value, closed.value), (lp.value, zvector.value)
+    for report, p, tour in zip(reports, proven, tours):
+        if report.error:
+            continue
+        mode, names = (closed, closed_names) if p else (zvector, zvector_names)
+        try:
+            _fill(report, lp, mode, names, tour)
+        except DomainError as exc:
+            report.error = str(exc)
     return reports
 
 

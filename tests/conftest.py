@@ -27,11 +27,19 @@ def gline_instance(n: int, d: float, p: float = 2):
     return generate(InstanceSpec(n=n, d=d, p=p))
 
 
+def plain_even_k_values(n, d, ks):
+    """Reference for gline._even_k_values: the balanced lengths V(k) by the
+    plain elementwise formula, with no shared runs of equal n // k."""
+    q, r = n // ks, n % ks
+    sum_c = (ks - r) * (2.0 * (q - 1) + np.hypot(q - 1, d)) + r * (2.0 * q + np.hypot(q, d))
+    return n + ks + 2.0 * d - 2.0 + sum_c
+
+
 def full_enumeration_optimum(n: int, d: float) -> tuple[int, float]:
     """Reference for gline.optimal_zvector: argmin over every balanced even
     k = 2..n (ties to the smaller k), then the comparison with k = 1."""
     ks = np.arange(2, n + 1, 2)
-    vals = gline._even_k_values(n, d, ks)
+    vals = plain_even_k_values(n, d, ks)
     i = int(np.argmin(vals))
     v1 = gline.zvector_tour_value(n, 1, d, 0.0)
     if v1 <= vals[i]:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gaplab.gline import (
     insertion_cost_end,
     insertion_cost_inner,
     optimal_zvector,
+    optimal_zvectors,
     sqrt_inequality_check,
     tour_from_zvector,
     tour_lower_bound,
@@ -24,7 +26,7 @@ from gaplab.gline import (
 from gaplab.instances import DomainError
 from gaplab.ratio import DRule
 
-from conftest import full_enumeration_optimum, gline_instance
+from conftest import full_enumeration_optimum, gline_instance, plain_even_k_values
 
 
 def positional_insertion_oracle(k: int, d: float) -> float:
@@ -182,35 +184,132 @@ def assert_search_matches_enumeration(n, d):
     assert type(value) is float
 
 
+def assert_batch_matches_enumeration(ns, ds):
+    """One optimal_zvectors call over all rows: every row's k and value bits
+    are the full enumeration's."""
+    ks, values = optimal_zvectors(ns, ds)
+    assert ks.dtype == np.int64 and values.dtype == np.float64
+    for n, d, k, value in zip(ns, ds, ks.tolist(), values.tolist()):
+        want_k, want_value = full_enumeration_optimum(n, d)
+        assert (k, value.hex()) == (want_k, want_value.hex()), (n, d)
+
+
 @pytest.mark.parametrize("d", [4.0, 4.5, 10.0, 50.0])
-def test_zvector_search_matches_full_enumeration(d):
-    """Gate of the windowed search: same k, bit-identical value, every even n."""
-    for n in range(4, 2001, 2):
+def test_zvector_search_matches_full_enumeration(d, monkeypatch):
+    """Gate of the windowed search: same k, bit-identical value, every even n,
+    one n at a time and all n in one batched call."""
+    ns = list(range(4, 2001, 2))
+    for n in ns:
         assert_search_matches_enumeration(n, d)
+    assert_batch_matches_enumeration(ns, [d] * len(ns))
+    # the rows' windows total about 19,800 values at d = 4, one block of the
+    # real bound; a bound of 16 splits the same call into hundreds of blocks,
+    # and at d = 4 and 4.5 many are a single row whose window alone exceeds it
+    monkeypatch.setattr(gline, "_BLOCK_VALUES", 2 ** 4)
+    assert_batch_matches_enumeration(ns, [d] * len(ns))
 
 
 def test_zvector_search_matches_full_enumeration_large_and_growing_d():
     for n in list(range(2002, 20001, 666)) + [19998, 20000]:
         assert_search_matches_enumeration(n, 4.0)
+    # one call whose rows span several blocks of the real bound: about
+    # 110,000 window values
+    ns = list(range(2002, 20001, 26))
+    assert_batch_matches_enumeration(ns, [4.0] * len(ns))
     for rule, ns in ((DRule.parse("pow:0.5"), (16, 100, 1000, 4096, 9998)),
                      (DRule.parse("sqrt-half"), (34, 36, 38, 500, 2002, 12000))):
         for n in ns:
             assert_search_matches_enumeration(n, rule.d_of(n))
+        assert_batch_matches_enumeration(ns, [rule.d_of(n) for n in ns])
     # k = 1 wins only on a float tie, since hypot(n-2, 2d) <= hypot(n-2, d) + d;
     # at d = 1e9 the tie holds for n = 4..10
     for d in (1e8, 1e9):
         for n in range(4, 11, 2):
             assert_search_matches_enumeration(n, d)
+        assert_batch_matches_enumeration(range(4, 11, 2), [d] * 4)
     assert all(optimal_zvector(n, 1e9)[0] == 1 for n in range(4, 11, 2))
+    mixed = [(4, 1e9), (2002, 4.0), (10, 1e8), (36, math.sqrt(17)), (20000, 50.0)]
+    assert_batch_matches_enumeration(*zip(*mixed))
 
 
 def test_zvector_search_without_certified_edges_spans_every_k(monkeypatch):
     """With a margin no edge can meet, the window doubles until it covers
     every even k, and the answer is still the full enumeration's."""
     monkeypatch.setattr(gline, "_SLOPE_MARGIN", 1.0)
+    ns = list(range(4, 201, 2))
     for d in (4.0, 4.5, 10.0, 50.0):
-        for n in range(4, 201, 2):
+        for n in ns:
             assert_search_matches_enumeration(n, d)
+        assert_batch_matches_enumeration(ns, [d] * len(ns))
+
+
+def test_batched_search_doubles_only_the_rows_that_need_it(monkeypatch):
+    """At the real margin no row of const:4 or sqrt-n-1 over n = 18..20000
+    needs a second window, and neither does any row of n = 4..400 with
+    d in {4, 4.5, 5, 7, 10, 20, 50}.  So only a patched margin runs the
+    doubling path, here next to rows that certify on their first window.
+    Every block stays within the bound on window values."""
+    windows = []
+    search = gline._search_windows
+
+    def counting(n, d, lo, hi, last):
+        windows.extend(n.tolist())
+        # a block holds at most _BLOCK_VALUES window values, or one row
+        assert len(n) == 1 or (hi - lo + 1).sum() <= gline._BLOCK_VALUES
+        return search(n, d, lo, hi, last)
+
+    monkeypatch.setattr(gline, "_search_windows", counting)
+    ns = np.arange(18, 20001, 2)
+    grid = np.arange(4, 401, 2)
+    for rows, ds in ((ns, np.full(len(ns), 4.0)), (ns, np.sqrt(ns - 1.0)),
+                     *((grid, np.full(len(grid), d)) for d in (4, 4.5, 5, 7, 10, 20, 50))):
+        windows.clear()
+        optimal_zvectors(rows, ds)
+        assert windows == rows.tolist()  # one window per row, in row order
+    ns = list(range(4, 2001, 2))
+    monkeypatch.setattr(gline, "_SLOPE_MARGIN", 2.0 ** -12)
+    for d in (4.0, 4.5, 10.0):
+        windows.clear()
+        assert_batch_matches_enumeration(ns, [d] * len(ns))
+        per_row = [windows.count(n) for n in ns]
+        assert min(per_row) == 1 and max(per_row) >= 3, d
+
+
+def test_even_k_values_break_runs_where_d_changes():
+    """V(k) takes c(q) once per run of equal (q, d); rows of equal n and
+    different d put equal q side by side, which must not share a run."""
+    ks = np.repeat(np.arange(2, 401, 2), 3)
+    for n, d in ((400, np.tile([4.0, 6.0, 6.0], 200)), (np.repeat([400, 401, 400], 200), 4.5),
+                 (np.tile([400, 398, 396], 200), np.tile([4.0, 4.0, 50.0], 200))):
+        want = plain_even_k_values(n, d, ks)
+        assert gline._even_k_values(n, d, ks).tolist() == want.tolist()
+    ks = np.arange(2, 2001, 2)
+    assert gline._even_k_values(2000, 4.0, ks).tolist() == plain_even_k_values(2000, 4.0, ks).tolist()
+
+
+def test_batched_search_breaks_ties_to_the_smaller_k(monkeypatch):
+    """No (n, d) tried has two even k at the minimum, so a V(k) with a flat
+    bottom over k = 16..24 stands in for one."""
+    monkeypatch.setattr(gline, "_even_k_values",
+                        lambda n, d, ks: np.maximum(np.abs(ks - 20.0), 4.0))
+    ks, values = optimal_zvectors([60, 400, 2000], [4.0, 4.0, 4.0])
+    assert ks.tolist() == [16, 16, 16] and values.tolist() == [4.0, 4.0, 4.0]
+
+
+def test_batched_search_inputs():
+    ks, values = optimal_zvectors([], [])
+    assert ks.shape == values.shape == (0,)
+    assert optimal_zvectors(np.array([20]), np.array([4.0]))[0].tolist() == [optimal_zvector(20, 4.0)[0]]
+    # the first row outside the domain raises optimal_zvector's own error
+    for ns, ds, message in (([18, 7, 6], [4.0, 4.0, 3.0], "n must be even and >= 4, got 7"),
+                            ([18, 6, 7], [4.0, 3.0, 4.0], "row spacing d must be >= 4, got 3.0"),
+                            ([2], [4.0], "n must be even and >= 4, got 2"),
+                            ([18], [math.inf], "row spacing d must be finite, got inf"),
+                            ([18], [math.nan], "row spacing d must be >= 4, got nan")):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            optimal_zvectors(ns, ds)
+    with pytest.raises(DomainError, match="equal-length"):
+        optimal_zvectors([18, 20], [4.0])
 
 
 def test_balancedness_beats_random_unbalanced(rng):

@@ -1,18 +1,21 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
-from gaplab import gline
+from gaplab import gline, ratio
 from gaplab.instances import DomainError
 from gaplab.ratio import (
     DRule,
     LpBackend,
+    RatioReport,
     TourBackend,
     closed_form_ratio,
     closed_form_tour,
     f_argmin,
     lp_value,
+    proven_tour_form_holds,
     ratio_exact,
     ratio_lower_bound,
     sweep,
@@ -157,9 +160,20 @@ def test_sweep_csv_layout():
 
 
 def test_const_sweep_csv_matches_full_enumeration(monkeypatch):
-    got = sweep_csv(sweep(range(18, 2001, 2), DRule.parse("const:4")))
-    monkeypatch.setattr(gline, "optimal_zvector", full_enumeration_optimum)
-    assert got == sweep_csv(sweep(range(18, 2001, 2), DRule.parse("const:4")))
+    ns = range(18, 2001, 2)
+    got = sweep_csv(sweep(ns, DRule.parse("const:4")))
+    searched = []
+
+    def enumerated(rows_n, rows_d):
+        searched.extend(rows_n)
+        found = [full_enumeration_optimum(n, d) for n, d in zip(rows_n, rows_d)]
+        return np.array([k for k, _ in found]), np.array([v for _, v in found])
+
+    monkeypatch.setattr(gline, "optimal_zvectors", enumerated)
+    want = sweep(ns, DRule.parse("const:4"))
+    assert searched == list(ns)  # every row's tour is the z-vector optimum
+    assert all(r.backend_tour == "zvector" and not r.error for r in want)
+    assert got == sweep_csv(want)
 
 
 def test_drule_parsing():
@@ -192,22 +206,49 @@ def same_field(a, b) -> bool:
                       and math.isnan(a) and math.isnan(b))
 
 
-@pytest.mark.parametrize("rule", ["sqrt-n-1", "sqrt-half", "const:4", "const:5", "pow:0.5"])
+def ratio_exact_fields(n, d, tour_mode) -> RatioReport:
+    """ratio_exact's report at (n, d) with its error text; where it raises,
+    the report holds the fields it set before the error."""
+    made = []
+
+    def recording(**fields):
+        made.append(RatioReport(**fields))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ratio, "RatioReport", recording)
+        try:
+            ratio_exact(n, d, LpBackend.CLOSED_FORM, tour_mode)
+        except DomainError as exc:
+            made[0].error = str(exc)
+    return made[0]
+
+
+@pytest.mark.parametrize("rule", ["sqrt-n-1", "sqrt-half", "const:4", "const:5", "pow:0.5",
+                                  "const:3.5"])
 def test_sweep_rows_are_ratio_exact_reports(rule):
     # one dispatch: a sweep row carries the closed forms of its (n, d),
-    # whichever rule produced d
-    reports = sweep(range(4, 61), DRule.parse(rule))
-    assert {26, 34, 52} <= {r.n for r in reports}
-    checked = 0
+    # whichever rule produced d, and an error row carries ratio_exact's
+    # error and the fields set before it; n < 4, odd n and d < 4 are errors
+    d_rule = DRule.parse(rule)
+    reports = sweep(range(1, 61), d_rule)
+    assert [r.n for r in reports] == list(range(1, 61))
     for row in reports:
-        if row.error:
-            continue
-        want = ratio_exact(row.n, row.d, LpBackend.CLOSED_FORM, TourBackend(row.backend_tour))
+        try:
+            d = d_rule.d_of(row.n)
+        except DomainError as exc:
+            want = RatioReport(n=row.n, d=math.nan, error=str(exc))
+        else:
+            want = ratio_exact_fields(row.n, d, TourBackend.CLOSED_FORM
+                                      if proven_tour_form_holds(row.n, d) else TourBackend.ZVECTOR)
         for field in dataclasses.fields(row):
             got, exp = getattr(row, field.name), getattr(want, field.name)
             assert same_field(got, exp), (rule, row.n, field.name, got, exp)
-        checked += 1
-    assert checked > 0
+    errors = {r.n for r in reports if r.error}
+    assert {1, 2, 3, 5, 59} <= errors
+    assert (errors == set(range(1, 61))) == (rule == "const:3.5")
+    if rule == "const:3.5":
+        assert all(r.error == "row spacing d must be >= 4, got 3.5" for r in reports if r.n % 2 == 0 and r.n >= 4)
 
 
 def test_closed_tour_forms_attach_by_n_and_d():
