@@ -38,6 +38,7 @@ from .exact import Tour, tour_length
 from .instances import DomainError, Instance, generate
 
 MIN_ROW_GAP = 4.0  # the exact cost formulas require d >= 4
+MAX_ROW_GAP = 2.0 ** 1000  # so that each length the search forms, about (k + 2) d, is finite
 
 
 def _require_min_gap(d: float) -> None:
@@ -203,19 +204,17 @@ def balanced_zvector(n: int, k: int) -> ZVector:
     return ZVector(entries=tuple([q] * (k - r) + [q + 1] * r))
 
 
-def _even_k_values(n, d, ks: np.ndarray) -> np.ndarray:
+def _even_k_values(n, d: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Formula lengths V(k) of the balanced z-vectors with the even lengths
-    ks; n and d are scalars or arrays shaped like ks."""
+    ks; d is an array shaped like ks, and n a scalar or such an array."""
     q, r = n // ks, n % ks
     # c(q) and c(q + 1) depend on (q, d) alone, and q = n // k changes rarely
     # from one k to the next: evaluate them once per run of equal (q, d)
     new = np.ones(len(ks) + 1, dtype=bool)
-    new[1:-1] = q[1:] != q[:-1]
-    if np.ndim(d):
-        new[1:-1] |= d[1:] != d[:-1]
+    new[1:-1] = (q[1:] != q[:-1]) | (d[1:] != d[:-1])
     bounds = new.nonzero()[0]
     run, size = bounds[:-1], bounds[1:] - bounds[:-1]
-    q_run, d_run = q[run], d[run] if np.ndim(d) else d
+    q_run, d_run = q[run], d[run]
     c_q = (2.0 * (q_run - 1) + np.hypot(q_run - 1, d_run)).repeat(size)
     c_next = (2.0 * q_run + np.hypot(q_run, d_run)).repeat(size)
     return n + ks + 2.0 * d - 2.0 + ((ks - r) * c_q + r * c_next)
@@ -244,6 +243,8 @@ def _check_zvector_row(n: int, d: float) -> None:
     _require_min_gap(d)
     if not math.isfinite(d):
         raise DomainError(f"row spacing d must be finite, got {d!r}")
+    if d > MAX_ROW_GAP:
+        raise DomainError(f"row spacing d must be <= 2^1000, got {d!r}")
 
 
 def _search_windows(n, d, lo, hi, last):
@@ -273,19 +274,21 @@ def optimal_zvectors(ns, ds) -> tuple[np.ndarray, np.ndarray]:
     windows of many rows are evaluated as one flat array, in blocks of at
     most ``_BLOCK_VALUES`` values, so that a long sweep pays the numpy call
     overhead per block rather than per row, with bounded memory.  Raises
-    the DomainError of the first row outside the domain (n even >= 4,
-    finite d >= 4).
+    the DomainError of the first row outside the domain (integral n even
+    >= 4, 4 <= d <= 2^1000).
     """
-    ns = np.asarray(ns, dtype=np.int64)
-    ds = np.asarray(ds, dtype=float)
+    ns, ds = np.asarray(ns), np.asarray(ds, dtype=float)
     if ns.ndim != 1 or ns.shape != ds.shape:
         raise DomainError(f"need two equal-length 1-d sequences, got shapes {ns.shape} and {ds.shape}")
-    bad = (ns % 2 != 0) | (ns < 4) | ~((ds >= MIN_ROW_GAP) & np.isfinite(ds))
+    with np.errstate(invalid="ignore"):  # n % 2 is NaN, so not 0, for a non-finite float n
+        bad = ~(ns % 2 == 0) | (ns < 4) | ~((ds >= MIN_ROW_GAP) & (ds <= MAX_ROW_GAP))
     if bad.any():
         i = int(np.argmax(bad))
-        _check_zvector_row(int(ns[i]), float(ds[i]))
+        _check_zvector_row(ns[i].item(), float(ds[i]))
+    ns = ns.astype(np.int64)
     last = ns // 2  # even k = 2j for j = 1..last
-    q_star = (ds * ds + 1.0) / 2.0
+    # the start is k = 2..8 for any int64 n once d > 2^32: clamp d there, so q*^2 stays finite
+    q_star = (np.minimum(ds, 2.0 ** 32) ** 2 + 1.0) / 2.0
     centre = np.minimum(np.maximum(np.rint(ns / (2.0 * q_star)).astype(np.int64), 1), last)
     # V is linear in k while n // k stays put, kinked at k = n/q; start one
     # kink spacing (about n/q*^2 in k) to each side, which usually certifies
@@ -337,10 +340,9 @@ def optimal_zvector(n: int, d: float) -> tuple[int, float]:
     q* = (d^2 + 1)/2 minimises (c(q) + 1)/q over real q, and doubles until
     both edges are certified or it covers 2..n; the start only affects the
     speed.  This is the one-row case of :func:`optimal_zvectors`, which a
-    sweep calls on all its rows at once.  Requires n even >= 4 and finite
-    d >= 4.
+    sweep calls on all its rows at once.  Requires integral n even >= 4
+    and 4 <= d <= 2^1000 (:data:`MAX_ROW_GAP`).
     """
-    _check_zvector_row(n, d)
     ks, values = optimal_zvectors([n], [d])
     return int(ks[0]), float(values[0])
 

@@ -10,9 +10,10 @@ plus the cruder bound (4n + 2d - 2 - 2n/(d+1)) / (3n + 4d) valid for any
 d >= 4, and the d = sqrt(n/2 - 1) variant whose ratio is slightly larger
 at equal n.  Which closed forms hold is decided from (n, d) alone
 (:func:`subtour.closed_form_lp_value`, :func:`closed_form_tour`), and
-:func:`ratio_exact` and :func:`sweep` fill their reports by one routine.
-Every report row names the backend that produced each value; closed
-forms and numeric solvers are never mixed silently.
+:func:`ratio_exact` and :func:`sweep` fill their reports by one routine;
+a sweep row is the default report, a z-vector tour beside the closed
+forms.  Every report row names the backend that produced each value;
+closed forms and numeric solvers are never mixed silently.
 """
 from __future__ import annotations
 
@@ -150,14 +151,14 @@ def lp_value(n: int, d: float, backend: LpBackend) -> float:
 
 
 def _fill(report: RatioReport, lp_mode: LpBackend, tour_mode: TourBackend,
-          names: tuple[str, str], tour: float | None = None,
+          tour: float | None = None,
           held_karp_cap: int = exact.HELD_KARP_DEFAULT_CAP) -> RatioReport:
     """Set the LP fields, then the tour fields, then the ratios, evaluating
     each closed form once; a DomainError propagates and leaves the fields
-    set so far in place.  ``names`` are the two modes' values, and ``tour``,
-    when given, is the tour backend's value at (n, d), found beforehand."""
+    set so far in place.  ``tour``, when given, is the tour backend's value
+    at (n, d), found beforehand."""
     n, d = report.n, report.d
-    report.backend_lp = names[0]
+    report.backend_lp = lp_mode.value
     lp_closed_form = lp_mode is LpBackend.CLOSED_FORM
     try:
         lp_closed = subtour.closed_form_lp_value(n, d)
@@ -168,9 +169,8 @@ def _fill(report: RatioReport, lp_mode: LpBackend, tour_mode: TourBackend,
     report.lp_numeric = lp_closed if lp_closed_form else lp_value(n, d, lp_mode)
     report.lp_closed = lp_closed
     report.tour_numeric = tour if tour is not None else tour_value(n, d, tour_mode, held_karp_cap)
-    report.tour_closed = (report.tour_numeric if tour_mode is TourBackend.CLOSED_FORM
-                          else closed_form_tour(n, d))
-    report.backend_tour = names[1]
+    report.tour_closed = closed_form_tour(n, d)
+    report.backend_tour = tour_mode.value
     report.ratio_numeric = report.tour_numeric / report.lp_numeric
     report.ratio_closed = report.tour_closed / lp_closed
     return report
@@ -186,8 +186,7 @@ def ratio_exact(n: int, d: float,
     (:func:`subtour.closed_form_lp_value`, :func:`closed_form_tour`) and
     stay NaN elsewhere; the CLOSED_FORM backends raise DomainError there.
     """
-    return _fill(RatioReport(n=n, d=float(d)), lp_mode, tour_mode,
-                 (lp_mode.value, tour_mode.value), held_karp_cap=held_karp_cap)
+    return _fill(RatioReport(n=n, d=float(d)), lp_mode, tour_mode, held_karp_cap=held_karp_cap)
 
 
 # -- d-growth rules and sweeps --------------------------------------------------
@@ -248,14 +247,14 @@ class DRule:
 
 
 def sweep(n_values, d_rule: DRule) -> list[RatioReport]:
-    """One RatioReport per n, ordered by n, each the :func:`ratio_exact`
-    report with the closed LP form and the proven closed tour form where it
-    holds, else the z-vector optimum.  The rows that take the z-vector
-    optimum are searched together by one :func:`gline.optimal_zvectors`
-    call, in blocks of bounded size, each row in its own certified window;
-    rows outside its domain get :func:`gline.optimal_zvector`'s error.
-    Per-row failures are recorded in the row and the sweep continues."""
-    reports, proven = [], []
+    """One RatioReport per n, ordered by n, each the default
+    :func:`ratio_exact` report: the closed LP form, and the z-vector
+    optimum beside the closed tour forms that hold.  The rows inside the
+    search's domain are searched together by one
+    :func:`gline.optimal_zvectors` call, each row in its own certified
+    window; the others get :func:`gline.optimal_zvector`'s error.  Per-row
+    failures are recorded in the row and the sweep continues."""
+    reports = []
     for n in n_values:
         report = RatioReport(n=int(n), d=math.nan)
         try:
@@ -263,24 +262,19 @@ def sweep(n_values, d_rule: DRule) -> list[RatioReport]:
         except DomainError as exc:
             report.error = str(exc)
         reports.append(report)
-        proven.append(not report.error and proven_tour_form_holds(report.n, report.d))
-    # the z-vector rows inside the search's domain; the others raise its error in _fill
-    searched = [i for i, r in enumerate(reports) if not (r.error or proven[i])
-                and r.n % 2 == 0 and r.n >= 4 and r.d >= gline.MIN_ROW_GAP]
-    tours = [None] * len(reports)
+    # the rows inside the search's domain (an error row's d is NaN); the
+    # others raise its error in _fill
+    searched = [i for i, r in enumerate(reports) if r.n % 2 == 0 and r.n >= 4
+                and gline.MIN_ROW_GAP <= r.d <= gline.MAX_ROW_GAP]
     _, values = gline.optimal_zvectors([reports[i].n for i in searched],
                                        [reports[i].d for i in searched])
-    for i, value in zip(searched, values.tolist()):
-        tours[i] = value
-    # Enum member and .value lookups cost about 0.2 µs each; do them once, not per row
-    lp, closed, zvector = LpBackend.CLOSED_FORM, TourBackend.CLOSED_FORM, TourBackend.ZVECTOR
-    closed_names, zvector_names = (lp.value, closed.value), (lp.value, zvector.value)
-    for report, p, tour in zip(reports, proven, tours):
+    tours = dict(zip(searched, values.tolist()))
+    lp, zvector = LpBackend.CLOSED_FORM, TourBackend.ZVECTOR  # about 0.1 µs per lookup
+    for i, report in enumerate(reports):
         if report.error:
             continue
-        mode, names = (closed, closed_names) if p else (zvector, zvector_names)
         try:
-            _fill(report, lp, mode, names, tour)
+            _fill(report, lp, zvector, tours.get(i))
         except DomainError as exc:
             report.error = str(exc)
     return reports

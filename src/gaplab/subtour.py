@@ -425,14 +425,17 @@ def closed_form_lp_value(n: int, d: float) -> float:
     (n - 1)(d - 1) >= sqrt(d^2 + 1) - 1, i.e. d >= d*(n) with d*(4) ~ 1.183,
     d*(6) ~ 1.097, d*(10) = 1.05 and d*(n) -> 1.  Below that the tour is
     shorter than the form, so the form is not the LP optimum, and
-    DomainError is raised.  Optimality inside the returned region rests on
-    cutting-plane solves, not on a proof.
+    DomainError is raised, as it is where the value overflows.  Optimality
+    inside the returned region rests on cutting-plane solves, not on a
+    proof.
     """
     if n < 3:
         raise DomainError(f"closed form needs n >= 3, got {n}")
     if not d > 0:
         raise DomainError(f"d must be positive, got {d!r}")
     value = 3.0 * n - 4.0 + 3.0 * d + math.hypot(d, 1.0)
+    if not math.isfinite(value):
+        raise DomainError(f"closed LP form overflows at n={n} d={d:g}")
     tour = grid_tour_length(n, d)
     if tour < value:
         raise DomainError(f"closed LP form {value:.12g} does not hold at n={n} d={d:g}: "

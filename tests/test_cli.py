@@ -79,6 +79,14 @@ def test_solve_tour_zvector_rejects_odd_n(capsys):
     assert "even" in err
 
 
+def test_solve_at_huge_d(capsys):
+    code, out, err = run(capsys, "solve", "tour", "--n", "20", "--d", "1e100")
+    assert (code, out, err) == (0, "tour = 4e+100  [zvector]\n", "")
+    code, out, err = run(capsys, "solve", "ratio", "--n", "20", "--d", "1e308")
+    assert code == 2 and out == ""
+    assert err == "error: closed LP form overflows at n=20 d=1e+308\n"
+
+
 def test_solve_lp_cutting_plane(capsys):
     code, out, _ = run(capsys, "solve", "lp", "--n", "5", "--d", "3",
                        "--backend", "cutting-plane")

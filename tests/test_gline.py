@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -279,12 +280,14 @@ def test_even_k_values_break_runs_where_d_changes():
     """V(k) takes c(q) once per run of equal (q, d); rows of equal n and
     different d put equal q side by side, which must not share a run."""
     ks = np.repeat(np.arange(2, 401, 2), 3)
-    for n, d in ((400, np.tile([4.0, 6.0, 6.0], 200)), (np.repeat([400, 401, 400], 200), 4.5),
+    for n, d in ((400, np.tile([4.0, 6.0, 6.0], 200)),
+                 (np.repeat([400, 401, 400], 200), np.full(600, 4.5)),
                  (np.tile([400, 398, 396], 200), np.tile([4.0, 4.0, 50.0], 200))):
         want = plain_even_k_values(n, d, ks)
         assert gline._even_k_values(n, d, ks).tolist() == want.tolist()
     ks = np.arange(2, 2001, 2)
-    assert gline._even_k_values(2000, 4.0, ks).tolist() == plain_even_k_values(2000, 4.0, ks).tolist()
+    d = np.full(len(ks), 4.0)
+    assert gline._even_k_values(2000, d, ks).tolist() == plain_even_k_values(2000, d, ks).tolist()
 
 
 def test_batched_search_breaks_ties_to_the_smaller_k(monkeypatch):
@@ -304,12 +307,32 @@ def test_batched_search_inputs():
     for ns, ds, message in (([18, 7, 6], [4.0, 4.0, 3.0], "n must be even and >= 4, got 7"),
                             ([18, 6, 7], [4.0, 3.0, 4.0], "row spacing d must be >= 4, got 3.0"),
                             ([2], [4.0], "n must be even and >= 4, got 2"),
+                            ([20.5], [4.0], "n must be even and >= 4, got 20.5"),
+                            ([18, math.inf], [4.0, 4.0], "n must be even and >= 4, got inf"),
+                            ([18], [1e308], "row spacing d must be <= 2^1000, got 1e+308"),
                             ([18], [math.inf], "row spacing d must be finite, got inf"),
                             ([18], [math.nan], "row spacing d must be >= 4, got nan")):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             optimal_zvectors(ns, ds)
     with pytest.raises(DomainError, match="equal-length"):
         optimal_zvectors([18, 20], [4.0])
+    # a float n is taken where it is integral, as by optimal_zvector
+    assert optimal_zvectors([20.0], [4.0])[0].tolist() == [optimal_zvector(20, 4.0)[0]]
+
+
+def test_huge_d_neither_overflows_nor_warns():
+    """The start window's q*^2 is past the float range from d of about
+    1.6e77, and the value itself from about 4.5e307; the search stays exact
+    and quiet up to d = 2^1000, where its domain ends."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in (1e100, 1e200, 1e300, gline.MAX_ROW_GAP):
+            assert optimal_zvector(20, d) == full_enumeration_optimum(20, d), d
+        ks, values = optimal_zvectors([20, 2000, 10**12], [1e300] * 3)
+        assert ks.tolist() == [1, 1, 1] and np.isfinite(values).all()
+    for d in (1e308, math.nextafter(gline.MAX_ROW_GAP, math.inf)):
+        with pytest.raises(DomainError, match=r"must be <= 2\^1000"):
+            optimal_zvector(20, d)
 
 
 def test_balancedness_beats_random_unbalanced(rng):

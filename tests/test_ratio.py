@@ -15,7 +15,6 @@ from gaplab.ratio import (
     closed_form_tour,
     f_argmin,
     lp_value,
-    proven_tour_form_holds,
     ratio_exact,
     ratio_lower_bound,
     sweep,
@@ -97,11 +96,14 @@ def test_variant_exceeds_sqrt_rule_ratio(n):
 
 
 def test_sweep_sqrt_rule_monotone():
-    reports = sweep(range(18, 402, 2), DRule.parse("sqrt-n-1"))
+    # each row computes the tour twice: the z-vector search's tour beside
+    # the proven 4n - 4 + 2 sqrt(n-1)
+    reports = sweep(range(18, 20001, 2), DRule.parse("sqrt-n-1"))
     ratios = [r.ratio_numeric for r in reports]
-    assert all(not r.error for r in reports)
+    assert len(reports) == 9992 and all(not r.error for r in reports)
     assert all(b >= a - 1e-12 for a, b in zip(ratios, ratios[1:]))
-    assert all(r.backend_tour == "closed_form" for r in reports)
+    assert all(r.backend_tour == "zvector" for r in reports)
+    assert all(abs(r.tour_numeric - r.tour_closed) <= 1e-12 * r.tour_closed for r in reports)
     assert all(r.ratio_numeric < 1.5 for r in reports)  # below the 3/2 bound
 
 
@@ -239,8 +241,7 @@ def test_sweep_rows_are_ratio_exact_reports(rule):
         except DomainError as exc:
             want = RatioReport(n=row.n, d=math.nan, error=str(exc))
         else:
-            want = ratio_exact_fields(row.n, d, TourBackend.CLOSED_FORM
-                                      if proven_tour_form_holds(row.n, d) else TourBackend.ZVECTOR)
+            want = ratio_exact_fields(row.n, d, TourBackend.ZVECTOR)
         for field in dataclasses.fields(row):
             got, exp = getattr(row, field.name), getattr(want, field.name)
             assert same_field(got, exp), (rule, row.n, field.name, got, exp)
@@ -253,8 +254,8 @@ def test_sweep_rows_are_ratio_exact_reports(rule):
 
 def test_closed_tour_forms_attach_by_n_and_d():
     rows = {r.n: r for r in sweep([26, 34, 52], DRule.parse("const:5"))}
-    assert rows[26].backend_tour == "closed_form"
-    assert rows[26].tour_closed == rows[26].tour_numeric == 4 * 26 - 4 + 2 * 5
+    assert rows[26].backend_tour == "zvector"
+    assert rows[26].tour_numeric == rows[26].tour_closed == 4 * 26 - 4 + 2 * 5
     assert rows[52].backend_tour == "zvector"
     assert rows[52].tour_closed == 4 * 52 - 6 + 2 * 5
     assert math.isnan(rows[34].tour_closed) and math.isnan(rows[34].ratio_closed)

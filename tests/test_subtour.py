@@ -189,6 +189,10 @@ def test_closed_form_values():
     assert closed_form_lp_value(3, 4.0) == pytest.approx(17 + math.sqrt(17), abs=1e-12)
     with pytest.raises(DomainError):
         closed_form_lp_value(2, 1.0)
+    assert closed_form_lp_value(20, 1e300) == 4e300
+    for d in (1e308, math.inf):
+        with pytest.raises(DomainError, match="overflows"):
+            closed_form_lp_value(20, d)
 
 
 def test_lp_below_feasible_witness():
