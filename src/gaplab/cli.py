@@ -1,12 +1,12 @@
 """Command-line entry point: gen | solve | sweep | verify.
 
 ``--d`` and ``--d-rule`` share one grammar, ``ratio.DRule.GRAMMAR``.  Only
-``solve tour``, ``solve ratio`` and ``verify`` read the Held-Karp size cap:
-``--held-karp-cap``, else the environment variable GAPLAB_HK_CAP, else the
-default.  ``solve lp`` and ``solve tour`` take ``--backend``, ``solve ratio``
-takes ``--lp-backend`` and ``--tour-backend``, and any other backend flag
-is a usage error.  Exit codes: 0 success, 1 internal failure, 2 usage or
-precondition error.  All floats print with 12 significant digits.
+``solve tour`` and ``solve ratio`` read the Held-Karp size cap, from
+GAPLAB_HK_CAP, else the default; ``verify`` is a fixed suite.  ``solve lp``
+and ``solve tour`` take ``--backend``, ``solve ratio`` takes ``--lp-backend``
+and ``--tour-backend``, and any other backend flag is a usage error.  Exit
+codes: 0 success, 1 internal failure, 2 usage or precondition error.  All
+floats print with 12 significant digits.
 """
 from __future__ import annotations
 
@@ -26,20 +26,19 @@ from .ratio import DRule, LpBackend, TourBackend
 HK_CAP_ENV = "GAPLAB_HK_CAP"
 
 
-def held_karp_cap(flag: int | None) -> int:
-    """The Held-Karp size cap: the flag if given, else GAPLAB_HK_CAP, else
-    the default; DomainError unless it is a positive integer."""
-    if flag is None:
-        text = os.environ.get(HK_CAP_ENV)
-        if text is None:
-            return exact.HELD_KARP_DEFAULT_CAP
-        try:
-            flag = int(text)
-        except ValueError as exc:
-            raise DomainError(f"{HK_CAP_ENV} must be an integer, got {text!r}") from exc
-    if flag <= 0:
-        raise DomainError(f"held_karp_cap must be positive, got {flag}")
-    return flag
+def held_karp_cap() -> int:
+    """The Held-Karp size cap: GAPLAB_HK_CAP, else the default; DomainError
+    unless it is a positive integer."""
+    text = os.environ.get(HK_CAP_ENV)
+    if text is None:
+        return exact.HELD_KARP_DEFAULT_CAP
+    try:
+        cap = int(text)
+    except ValueError as exc:
+        raise DomainError(f"{HK_CAP_ENV} must be an integer, got {text!r}") from exc
+    if cap <= 0:
+        raise DomainError(f"held_karp_cap must be positive, got {cap}")
+    return cap
 
 
 def parse_backend(kind: type[Enum], text: str, option: str) -> Enum:
@@ -101,12 +100,12 @@ def cmd_solve(args) -> int:
             out.append(f"lp_closed = {fmt12(closed)}")
     elif args.what == "tour":
         backend = parse_backend(TourBackend, args.backend or "zvector", "--backend")
-        value = ratio.tour_value(n, d, backend, held_karp_cap(None))
+        value = ratio.tour_value(n, d, backend, held_karp_cap())
         out.append(f"tour = {fmt12(value)}  [{backend.value}]")
     else:  # ratio
         lp_mode = parse_backend(LpBackend, args.lp_backend or "closed-form", "--lp-backend")
         tour_mode = parse_backend(TourBackend, args.tour_backend or "zvector", "--tour-backend")
-        rep = ratio.ratio_exact(n, d, lp_mode, tour_mode, held_karp_cap(None))
+        rep = ratio.ratio_exact(n, d, lp_mode, tour_mode, held_karp_cap())
         out.append(f"lp = {fmt12(rep.lp_numeric)}  [{rep.backend_lp}]")
         out.append(f"tour = {fmt12(rep.tour_numeric)}  [{rep.backend_tour}]")
         out.append(f"ratio = {fmt12(rep.ratio_numeric)}")
@@ -136,12 +135,10 @@ def cmd_sweep(args) -> int:
 
 # -- verify ------------------------------------------------------------------------
 
-def run_verify(hk_cap: int):
-    """The invariant suite: (name, status, detail) per check, status one of
-    'PASS', 'FAIL', 'SKIP'.  Checks whose instance sizes exceed the
-    Held-Karp cap are skipped, not failed.  A check that raises is recorded
-    as a failure and the suite keeps going; it never aborts mid-run.
-    """
+def run_verify():
+    """The fixed invariant suite: (name, status, detail) per check, status
+    'PASS' or 'FAIL'; it reads no setting.  A check that raises is recorded
+    as a failure and the suite keeps going; it never aborts mid-run."""
     checks = []
 
     def record(name, fn):
@@ -149,9 +146,9 @@ def run_verify(hk_cap: int):
             result = fn()
         except Exception as exc:  # enumerate, do not abort
             result = (False, f"raised {exc!r}")
-        # a check returns ok or (ok, detail), where ok is a truth value or "SKIP"
+        # a check returns ok or (ok, detail), where ok is a truth value
         ok, detail = result if isinstance(result, tuple) else (result, "")
-        checks.append((name, ok if isinstance(ok, str) else "PASS" if ok else "FAIL", detail))
+        checks.append((name, "PASS" if ok else "FAIL", detail))
 
     rng = np.random.default_rng(1905)
 
@@ -168,11 +165,8 @@ def run_verify(hk_cap: int):
 
     for n, d in ((4, 4.0), (6, 4.0)):
         def oracle(n=n, d=d):
-            if 3 * n > hk_cap:
-                return ("SKIP", f"{3 * n} points exceeds cap {hk_cap}")
             zv = gline.optimal_zvector(n, d)[1]
-            hk = exact.held_karp(generate(InstanceSpec(n=n, d=d)),
-                                 max_points=hk_cap).length
+            hk = exact.held_karp(generate(InstanceSpec(n=n, d=d))).length
             return abs(zv - hk) <= 1e-9, f"zvector={fmt12(zv)} held_karp={fmt12(hk)}"
         record(f"z-vector optimum equals Held-Karp on G({n},{d:g})", oracle)
 
@@ -226,14 +220,12 @@ def run_verify(hk_cap: int):
 
 
 def cmd_verify(args) -> int:
-    checks = run_verify(held_karp_cap(args.held_karp_cap))
+    checks = run_verify()
     width = max(len(name) for name, _, _ in checks)
     for name, status, detail in checks:
         print(f"{status:<4} {name:<{width}}  {detail}".rstrip())
-    failed = [c for c in checks if c[1] == "FAIL"]
-    skipped = [c for c in checks if c[1] == "SKIP"]
-    print(f"{len(checks) - len(failed) - len(skipped)} passed, "
-          f"{len(failed)} failed, {len(skipped)} skipped")
+    failed = sum(status == "FAIL" for _, status, _ in checks)
+    print(f"{len(checks) - failed} passed, {failed} failed, 0 skipped")
     return 1 if failed else 0
 
 
@@ -273,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     verify = sub.add_parser("verify", help="run the invariant suite")
-    verify.add_argument("--held-karp-cap", type=int, default=None)
     verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -39,6 +39,7 @@ from .instances import DomainError, Instance, generate
 
 MIN_ROW_GAP = 4.0  # the exact cost formulas require d >= 4
 MAX_ROW_GAP = 2.0 ** 1000  # so that each length the search forms, about (k + 2) d, is finite
+MAX_SEARCH_N = 2 ** 53  # so that every n and k of the search is exact in float64
 
 
 def _require_min_gap(d: float) -> None:
@@ -237,9 +238,17 @@ _SLOPE_MARGIN = 2.0 ** -44
 _BLOCK_VALUES = 2 ** 15
 
 
+def in_search_domain(n, d):
+    """Whether (n, d) is in the z-vector search's domain: integral n even,
+    4 <= n <= 2^53, MIN_ROW_GAP <= d <= MAX_ROW_GAP; elementwise on arrays."""
+    return (n % 2 == 0) & (n >= 4) & (n <= MAX_SEARCH_N) & (d >= MIN_ROW_GAP) & (d <= MAX_ROW_GAP)
+
+
 def _check_zvector_row(n: int, d: float) -> None:
     if n % 2 or n < 4:
         raise DomainError(f"n must be even and >= 4, got {n}")
+    if n > MAX_SEARCH_N:
+        raise DomainError(f"n must be <= 2^53, got {n}")
     _require_min_gap(d)
     if not math.isfinite(d):
         raise DomainError(f"row spacing d must be finite, got {d!r}")
@@ -274,17 +283,16 @@ def optimal_zvectors(ns, ds) -> tuple[np.ndarray, np.ndarray]:
     windows of many rows are evaluated as one flat array, in blocks of at
     most ``_BLOCK_VALUES`` values, so that a long sweep pays the numpy call
     overhead per block rather than per row, with bounded memory.  Raises
-    the DomainError of the first row outside the domain (integral n even
-    >= 4, 4 <= d <= 2^1000).
+    the DomainError of the first row outside :func:`in_search_domain`.
     """
     ns, ds = np.asarray(ns), np.asarray(ds, dtype=float)
     if ns.ndim != 1 or ns.shape != ds.shape:
         raise DomainError(f"need two equal-length 1-d sequences, got shapes {ns.shape} and {ds.shape}")
     with np.errstate(invalid="ignore"):  # n % 2 is NaN, so not 0, for a non-finite float n
-        bad = ~(ns % 2 == 0) | (ns < 4) | ~((ds >= MIN_ROW_GAP) & (ds <= MAX_ROW_GAP))
+        bad = ~in_search_domain(ns, ds)
     if bad.any():
         i = int(np.argmax(bad))
-        _check_zvector_row(ns[i].item(), float(ds[i]))
+        _check_zvector_row(ns.tolist()[i], float(ds[i]))  # tolist: ns may hold Python ints
     ns = ns.astype(np.int64)
     last = ns // 2  # even k = 2j for j = 1..last
     # the start is k = 2..8 for any int64 n once d > 2^32: clamp d there, so q*^2 stays finite
@@ -340,8 +348,8 @@ def optimal_zvector(n: int, d: float) -> tuple[int, float]:
     q* = (d^2 + 1)/2 minimises (c(q) + 1)/q over real q, and doubles until
     both edges are certified or it covers 2..n; the start only affects the
     speed.  This is the one-row case of :func:`optimal_zvectors`, which a
-    sweep calls on all its rows at once.  Requires integral n even >= 4
-    and 4 <= d <= 2^1000 (:data:`MAX_ROW_GAP`).
+    sweep calls on all its rows at once.  Requires (n, d) in
+    :func:`in_search_domain`.
     """
     ks, values = optimal_zvectors([n], [d])
     return int(ks[0]), float(values[0])

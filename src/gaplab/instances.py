@@ -40,8 +40,8 @@ class InstanceSpec:
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
             raise DomainError(f"n must be an integer >= 2, got {self.n!r}")
-        if not (isinstance(self.d, (int, float)) and math.isfinite(self.d) and self.d > 0):
-            raise DomainError(f"d must be a positive real, got {self.d!r}")
+        if not (isinstance(self.d, (int, float)) and math.isfinite(3.0 * self.d) and self.d > 0):
+            raise DomainError(f"d must be a positive real with 3d finite, got {self.d!r}")
         p = self.p
         if p != INF and not (isinstance(p, (int, float)) and not isinstance(p, bool)
                              and p >= 1 and p % 1 == 0):
@@ -199,7 +199,7 @@ def from_json(text: str | bytes) -> Instance:
     return inst
 
 
-def to_tsplib(inst: Instance, scale: int = 1000, name: str | None = None) -> str:
+def to_tsplib(inst: Instance, scale: int = 1000) -> str:
     """Render the instance in TSPLIB format (TYPE TSP, EDGE_WEIGHT_TYPE EUC_2D).
 
     Coordinates are multiplied by ``scale`` and rounded to integers.  EUC_2D
@@ -210,9 +210,10 @@ def to_tsplib(inst: Instance, scale: int = 1000, name: str | None = None) -> str
         raise DomainError("TSPLIB EUC_2D export requires the Euclidean metric (p = 2)")
     if not isinstance(scale, int) or scale < 1:
         raise DomainError(f"scale must be a positive integer, got {scale!r}")
-    name = name or f"G_{inst.spec.n}_{inst.spec.d:g}"
+    if not math.isfinite(max(inst.points[-1]) * scale):  # the last point (n, 3d) is largest
+        raise DomainError(f"scale={scale} makes a coordinate infinite")
     lines = [
-        f"NAME : {name}",
+        f"NAME : G_{inst.spec.n}_{inst.spec.d:g}",
         "TYPE : TSP",
         f"COMMENT : three-row grid, scale={scale}",
         f"DIMENSION : {inst.n_points}",

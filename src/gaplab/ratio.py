@@ -264,8 +264,7 @@ def sweep(n_values, d_rule: DRule) -> list[RatioReport]:
         reports.append(report)
     # the rows inside the search's domain (an error row's d is NaN); the
     # others raise its error in _fill
-    searched = [i for i, r in enumerate(reports) if r.n % 2 == 0 and r.n >= 4
-                and gline.MIN_ROW_GAP <= r.d <= gline.MAX_ROW_GAP]
+    searched = [i for i, r in enumerate(reports) if gline.in_search_domain(r.n, r.d)]
     _, values = gline.optimal_zvectors([reports[i].n for i in searched],
                                        [reports[i].d for i in searched])
     tours = dict(zip(searched, values.tolist()))

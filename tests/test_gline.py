@@ -311,7 +311,9 @@ def test_batched_search_inputs():
                             ([18, math.inf], [4.0, 4.0], "n must be even and >= 4, got inf"),
                             ([18], [1e308], "row spacing d must be <= 2^1000, got 1e+308"),
                             ([18], [math.inf], "row spacing d must be finite, got inf"),
-                            ([18], [math.nan], "row spacing d must be >= 4, got nan")):
+                            ([18], [math.nan], "row spacing d must be >= 4, got nan"),
+                            ([2 ** 53 + 2], [4.0], "n must be <= 2^53, got 9007199254740994"),
+                            ([2 ** 64], [4.0], f"n must be <= 2^53, got {2 ** 64}")):
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             optimal_zvectors(ns, ds)
     with pytest.raises(DomainError, match="equal-length"):

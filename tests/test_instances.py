@@ -59,6 +59,20 @@ def test_bad_parameters_rejected(n, d):
         InstanceSpec(n=n, d=d)
 
 
+def test_d_whose_rows_overflow_rejected():
+    # the top row sits at y = 3d: 3d must be finite, not only d
+    assert InstanceSpec(3, 5e307).d == 5e307
+    message = "^d must be a positive real with 3d finite, got 1e\\+308$"
+    with pytest.raises(DomainError, match=message):
+        InstanceSpec(3, 1e308)
+    # an older document at d = 1e308, with its rows at Infinity, is refused
+    doc = {"n": 3, "d": 1e308, "p": 2, "roles": [r.value for r in gline_instance(3, 1.0).roles],
+           "points": [[x, y * 1e308] for x, y in gline_instance(3, 1.0).points]}
+    assert "Infinity" in json.dumps(doc)
+    with pytest.raises(DomainError, match=message):
+        from_json(json.dumps(doc))
+
+
 def test_bad_metric_exponent_rejected():
     with pytest.raises(DomainError):
         InstanceSpec(n=3, d=1.0, p=0)

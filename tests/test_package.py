@@ -54,6 +54,15 @@ def test_python_dash_m_runs_the_cli():
     assert "ratio = 1.14463249602" in proc.stdout.splitlines()
 
 
+def test_verify_summary_is_the_benchmarks(monkeypatch, capsys):
+    # the benchmark's small-oracles workload requires this last line of verify
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.workloads import VERIFY_SUMMARY
+    from gaplab.cli import main
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == VERIFY_SUMMARY
+
+
 def test_benchmark_tracer_hooks_exist(monkeypatch):
     # the benchmark's traced mode wraps these functions by name; renaming or
     # removing one must fail here, not only in the benchmark's own suite
