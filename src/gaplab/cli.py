@@ -1,18 +1,18 @@
 """Command-line entry point: gen | solve | sweep | verify.
 
-``--d`` and ``--d-rule`` share one grammar, ``ratio.DRule.GRAMMAR``.  Only
-``solve tour`` and ``solve ratio`` read the Held-Karp size cap, from
-GAPLAB_HK_CAP, else the default; ``verify`` is a fixed suite.  ``solve lp``
-and ``solve tour`` take ``--backend``, ``solve ratio`` takes ``--lp-backend``
-and ``--tour-backend``, and any other backend flag is a usage error.  Exit
-codes: 0 success, 1 internal failure, 2 usage or precondition error.  All
-floats print with 12 significant digits.
+``--d`` and ``--d-rule`` share one grammar, ``ratio.DRule.GRAMMAR``.  The
+output depends on the arguments alone: the exact oracles' size caps are
+constants of ``exact`` and ``verify`` is a fixed suite.  ``solve lp`` and
+``solve tour`` take ``--backend``, ``solve ratio`` takes ``--lp-backend``
+and ``--tour-backend``, and any other backend flag is a usage error;
+``gen --scale`` is for TSPLIB only.  Exit codes: 0 success, 1 internal
+failure, 2 usage or precondition error.  All floats print with 12
+significant digits.
 """
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from enum import Enum
 
@@ -22,24 +22,6 @@ from . import exact, gline, ratio, subtour
 from .instances import INF, DomainError, InstanceSpec, export, generate
 from .lp_solver import LpIterationLimit, LpNumericalError
 from .ratio import DRule, LpBackend, TourBackend
-
-HK_CAP_ENV = "GAPLAB_HK_CAP"
-
-
-def held_karp_cap() -> int:
-    """The Held-Karp size cap: GAPLAB_HK_CAP, else the default; DomainError
-    unless it is a positive integer."""
-    text = os.environ.get(HK_CAP_ENV)
-    if text is None:
-        return exact.HELD_KARP_DEFAULT_CAP
-    try:
-        cap = int(text)
-    except ValueError as exc:
-        raise DomainError(f"{HK_CAP_ENV} must be an integer, got {text!r}") from exc
-    if cap <= 0:
-        raise DomainError(f"held_karp_cap must be positive, got {cap}")
-    return cap
-
 
 def parse_backend(kind: type[Enum], text: str, option: str) -> Enum:
     try:
@@ -73,8 +55,11 @@ def _write_output(data: bytes, out: str | None) -> None:
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_gen(args) -> int:
+    if args.scale is not None and args.format != "tsplib":
+        raise DomainError(f"gen --format {args.format} takes no --scale")
     spec = InstanceSpec(n=args.n, d=DRule.parse(args.d).d_of(args.n), p=parse_p(args.p))
-    _write_output(export(generate(spec), fmt=args.format, scale=args.scale), args.out)
+    scale = 1000 if args.scale is None else args.scale
+    _write_output(export(generate(spec), fmt=args.format, scale=scale), args.out)
     return 0
 
 
@@ -100,12 +85,12 @@ def cmd_solve(args) -> int:
             out.append(f"lp_closed = {fmt12(closed)}")
     elif args.what == "tour":
         backend = parse_backend(TourBackend, args.backend or "zvector", "--backend")
-        value = ratio.tour_value(n, d, backend, held_karp_cap())
+        value = ratio.tour_value(n, d, backend)
         out.append(f"tour = {fmt12(value)}  [{backend.value}]")
     else:  # ratio
         lp_mode = parse_backend(LpBackend, args.lp_backend or "closed-form", "--lp-backend")
         tour_mode = parse_backend(TourBackend, args.tour_backend or "zvector", "--tour-backend")
-        rep = ratio.ratio_exact(n, d, lp_mode, tour_mode, held_karp_cap())
+        rep = ratio.ratio_exact(n, d, lp_mode, tour_mode)
         out.append(f"lp = {fmt12(rep.lp_numeric)}  [{rep.backend_lp}]")
         out.append(f"tour = {fmt12(rep.tour_numeric)}  [{rep.backend_tour}]")
         out.append(f"ratio = {fmt12(rep.ratio_numeric)}")
@@ -242,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--d", type=str, required=True, help=DRule.GRAMMAR)
     gen.add_argument("--p", type=str, default="2")
     gen.add_argument("--format", choices=["json", "tsplib"], default="json")
-    gen.add_argument("--scale", type=int, default=1000)
+    gen.add_argument("--scale", type=int, default=None,
+                     help="tsplib only: coordinate multiplier (default 1000)")
     gen.add_argument("--out", type=str, default=None)
     gen.set_defaults(func=cmd_gen)
 

@@ -4,7 +4,8 @@ Both solvers are deterministic: ties break toward the lowest vertex index
 during reconstruction and the returned order is canonicalized (starts at
 vertex 0, second vertex not larger than the last).  They exist to
 ground-truth the structural tour machinery, so the two implementations
-stay independent of each other and of everything else.
+stay independent of each other and of everything else.  Their size caps,
+HELD_KARP_CAP and BRUTE_FORCE_CAP, are fixed; nothing overrides them.
 
 The DP keeps one float64 table of path costs per subset size, still
 2^(N-1) * (N-1) floats in all (80 MB at the 20-point cap), plus a
@@ -21,8 +22,8 @@ import numpy as np
 
 from .instances import DomainError, coerce_points, pairwise_distances
 
-HELD_KARP_DEFAULT_CAP = 20
-BRUTE_FORCE_DEFAULT_CAP = 10
+HELD_KARP_CAP = 20
+BRUTE_FORCE_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -46,18 +47,18 @@ def _canonical(order: list[int]) -> tuple[int, ...]:
     return tuple(order)
 
 
-def held_karp(obj, max_points: int = HELD_KARP_DEFAULT_CAP) -> Tour:
+def held_karp(obj) -> Tour:
     """Optimal tour by dynamic programming over vertex subsets.
 
     Subsets of the same size share one table, filled from the table one
     size smaller.  Memory grows as 2^(N-1) * (N-1) floats, so N is capped
-    (default 20, about 10M states).  Accepts an Instance or a raw (N, 2)
-    array.
+    at HELD_KARP_CAP (20, about 10M states).  Accepts an Instance or a raw
+    (N, 2) array.
     """
     coords, p = coerce_points(obj)
     n = len(coords)
-    if n > max_points:
-        raise DomainError(f"{n} points exceeds the DP cap of {max_points}")
+    if n > HELD_KARP_CAP:
+        raise DomainError(f"{n} points exceeds the DP cap of {HELD_KARP_CAP}")
     dist = pairwise_distances(coords, p)
 
     m = n - 1  # vertices 1..n-1 on bits 0..m-1; vertex 0 is the fixed start
@@ -108,12 +109,12 @@ def _perms(k: int) -> np.ndarray:
     return np.array(list(permutations(range(1, k + 1))), dtype=np.int8)
 
 
-def brute_force(obj, max_points: int = BRUTE_FORCE_DEFAULT_CAP) -> Tour:
+def brute_force(obj) -> Tour:
     """Optimal tour by enumerating all (N-1)! orders with vertex 0 fixed."""
     coords, p = coerce_points(obj)
     n = len(coords)
-    if n > max_points:
-        raise DomainError(f"{n} points exceeds the enumeration cap of {max_points}")
+    if n > BRUTE_FORCE_CAP:
+        raise DomainError(f"{n} points exceeds the enumeration cap of {BRUTE_FORCE_CAP}")
     dist = pairwise_distances(coords, p)
 
     perms = _perms(n - 1)

@@ -29,6 +29,15 @@ class Role(str, Enum):
     HULL_LOWER = "HULL_LOWER"          # bottom row
 
 
+def _finite_product(x: float, k) -> bool:
+    """Whether the float x * k is finite; False where k is an int too large
+    for a float."""
+    try:
+        return math.isfinite(x * k)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """Parameters of a G(n, d) instance: points per row, row spacing, metric."""
@@ -40,7 +49,8 @@ class InstanceSpec:
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
             raise DomainError(f"n must be an integer >= 2, got {self.n!r}")
-        if not (isinstance(self.d, (int, float)) and math.isfinite(3.0 * self.d) and self.d > 0):
+        if not (isinstance(self.d, (int, float)) and not isinstance(self.d, bool)
+                and self.d > 0 and _finite_product(3.0, self.d)):
             raise DomainError(f"d must be a positive real with 3d finite, got {self.d!r}")
         p = self.p
         if p != INF and not (isinstance(p, (int, float)) and not isinstance(p, bool)
@@ -191,7 +201,7 @@ def from_json(text: str | bytes) -> Instance:
         p = INF if doc["p"] == "inf" else doc["p"]
         points = tuple((float(x), float(y)) for x, y in doc["points"])
         roles = tuple(Role(r) for r in doc["roles"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed instance document: {exc}") from exc
     inst = Instance(spec=InstanceSpec(n=n, d=d, p=p), points=points, roles=roles)
     if inst != generate(inst.spec):
@@ -210,7 +220,7 @@ def to_tsplib(inst: Instance, scale: int = 1000) -> str:
         raise DomainError("TSPLIB EUC_2D export requires the Euclidean metric (p = 2)")
     if not isinstance(scale, int) or scale < 1:
         raise DomainError(f"scale must be a positive integer, got {scale!r}")
-    if not math.isfinite(max(inst.points[-1]) * scale):  # the last point (n, 3d) is largest
+    if not _finite_product(max(inst.points[-1]), scale):  # the last point (n, 3d) is largest
         raise DomainError(f"scale={scale} makes a coordinate infinite")
     lines = [
         f"NAME : G_{inst.spec.n}_{inst.spec.d:g}",

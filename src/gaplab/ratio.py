@@ -126,8 +126,7 @@ def closed_form_tour(n: int, d: float) -> float:
     return math.nan
 
 
-def tour_value(n: int, d: float, backend: TourBackend,
-               held_karp_cap: int = exact.HELD_KARP_DEFAULT_CAP) -> float:
+def tour_value(n: int, d: float, backend: TourBackend) -> float:
     if backend is TourBackend.ZVECTOR:
         return gline.optimal_zvector(n, d)[1]
     if backend is TourBackend.CLOSED_FORM:
@@ -137,7 +136,7 @@ def tour_value(n: int, d: float, backend: TourBackend,
         return gline.closed_form_tour_value(n)
     if backend is TourBackend.HELD_KARP:
         inst = generate(InstanceSpec(n=n, d=d))
-        return exact.held_karp(inst, max_points=held_karp_cap).length
+        return exact.held_karp(inst).length
     raise DomainError(f"unknown tour backend {backend!r}")
 
 
@@ -151,8 +150,7 @@ def lp_value(n: int, d: float, backend: LpBackend) -> float:
 
 
 def _fill(report: RatioReport, lp_mode: LpBackend, tour_mode: TourBackend,
-          tour: float | None = None,
-          held_karp_cap: int = exact.HELD_KARP_DEFAULT_CAP) -> RatioReport:
+          tour: float | None = None) -> RatioReport:
     """Set the LP fields, then the tour fields, then the ratios, evaluating
     each closed form once; a DomainError propagates and leaves the fields
     set so far in place.  ``tour``, when given, is the tour backend's value
@@ -168,7 +166,7 @@ def _fill(report: RatioReport, lp_mode: LpBackend, tour_mode: TourBackend,
         lp_closed = math.nan
     report.lp_numeric = lp_closed if lp_closed_form else lp_value(n, d, lp_mode)
     report.lp_closed = lp_closed
-    report.tour_numeric = tour if tour is not None else tour_value(n, d, tour_mode, held_karp_cap)
+    report.tour_numeric = tour if tour is not None else tour_value(n, d, tour_mode)
     report.tour_closed = closed_form_tour(n, d)
     report.backend_tour = tour_mode.value
     report.ratio_numeric = report.tour_numeric / report.lp_numeric
@@ -178,15 +176,14 @@ def _fill(report: RatioReport, lp_mode: LpBackend, tour_mode: TourBackend,
 
 def ratio_exact(n: int, d: float,
                 lp_mode: LpBackend = LpBackend.CLOSED_FORM,
-                tour_mode: TourBackend = TourBackend.ZVECTOR,
-                held_karp_cap: int = exact.HELD_KARP_DEFAULT_CAP) -> RatioReport:
+                tour_mode: TourBackend = TourBackend.ZVECTOR) -> RatioReport:
     """Integrality-ratio report for G(n, d) with explicit backend choices.
 
     The ``*_closed`` fields hold the closed forms that apply at (n, d)
     (:func:`subtour.closed_form_lp_value`, :func:`closed_form_tour`) and
     stay NaN elsewhere; the CLOSED_FORM backends raise DomainError there.
     """
-    return _fill(RatioReport(n=n, d=float(d)), lp_mode, tour_mode, held_karp_cap=held_karp_cap)
+    return _fill(RatioReport(n=n, d=float(d)), lp_mode, tour_mode)
 
 
 # -- d-growth rules and sweeps --------------------------------------------------

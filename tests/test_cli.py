@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gaplab import exact, subtour
-from gaplab.cli import held_karp_cap, main, parse_range, run_verify
+from gaplab import subtour
+from gaplab.cli import main, parse_range, run_verify
 from gaplab.instances import DomainError
 from gaplab.ratio import DRule
 
@@ -98,6 +98,22 @@ def test_gen_rejects_d_whose_rows_overflow(capsys):
     # 3d = 3e305 is finite, but scaled by 1000 the top row is not
     code, out, err = run(capsys, "gen", "--n", "3", "--d", "1e305", "--format", "tsplib")
     assert (code, out, err) == (2, "", "error: scale=1000 makes a coordinate infinite\n")
+    # nor is any coordinate scaled by an integer too large for a float
+    huge = "1" + "0" * 400
+    code, out, err = run(capsys, "gen", "--n", "3", "--d", "4", "--format", "tsplib",
+                         "--scale", huge)
+    assert (code, out, err) == (2, "", f"error: scale={huge} makes a coordinate infinite\n")
+
+
+def test_gen_scale_is_tsplib_only(capsys):
+    # without the flag, TSPLIB scales by 1000
+    _, default, _ = run(capsys, "gen", "--n", "3", "--d", "4", "--format", "tsplib")
+    assert run(capsys, "gen", "--n", "3", "--d", "4", "--format", "tsplib",
+               "--scale", "1000") == (0, default, "")
+    assert "1 1000 4000\n" in default
+    for scale in ("1000", "0"):
+        code, out, err = run(capsys, "gen", "--n", "3", "--d", "4", "--scale", scale)
+        assert (code, out, err) == (2, "", "error: gen --format json takes no --scale\n")
 
 
 def test_solve_lp_cutting_plane(capsys):
@@ -221,16 +237,19 @@ def test_verify_passes(capsys):
     assert "0 failed" in out
 
 
-def test_verify_reads_no_cap(monkeypatch, capsys):
-    # verify is a fixed suite: GAPLAB_HK_CAP changes none of its bytes, and
-    # it takes no cap flag
+def test_output_depends_on_argv_alone(monkeypatch, capsys):
+    # the exact oracles' caps are constants and verify is a fixed suite:
+    # GAPLAB_HK_CAP, once read as the Held-Karp cap, changes no byte
+    commands = [("verify",),
+                ("solve", "tour", "--n", "6", "--d", "4", "--backend", "held-karp"),
+                ("solve", "ratio", "--n", "6", "--d", "4", "--lp-backend", "cutting-plane",
+                 "--tour-backend", "held-karp")]
     monkeypatch.delenv("GAPLAB_HK_CAP", raising=False)
-    runs = [run(capsys, "verify")]
+    unset = [run(capsys, *argv) for argv in commands]
+    assert [code for code, _, _ in unset] == [0, 0, 0]
     for text in ("12", "banana"):
         monkeypatch.setenv("GAPLAB_HK_CAP", text)
-        runs.append(run(capsys, "verify"))
-    assert runs[0][0] == 0
-    assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert [run(capsys, *argv) for argv in commands] == unset
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--held-karp-cap", "12"])
     assert exc.value.code == 2
@@ -246,27 +265,6 @@ def test_verify_corrupted_constant_fails_loudly(monkeypatch, capsys):
     assert failed == ["cutting-plane LP matches closed form on G(6,3)",
                       "witness value matches its closed form"]
     assert out.splitlines()[-1] == "12 passed, 2 failed, 0 skipped"
-
-
-def test_hk_cap_env_override(monkeypatch, capsys):
-    monkeypatch.delenv("GAPLAB_HK_CAP", raising=False)
-    assert held_karp_cap() == exact.HELD_KARP_DEFAULT_CAP
-    monkeypatch.setenv("GAPLAB_HK_CAP", "12")
-    assert held_karp_cap() == 12
-    monkeypatch.setenv("GAPLAB_HK_CAP", "banana")
-    with pytest.raises(DomainError):
-        held_karp_cap()
-    # only commands that can run Held-Karp read the cap
-    code, out, _ = run(capsys, "solve", "lp", "--n", "4", "--d", "3")
-    assert code == 0 and out.startswith("lp = ")
-    code, _, err = run(capsys, "solve", "tour", "--n", "4", "--d", "3", "--backend", "held-karp")
-    assert code == 2 and "GAPLAB_HK_CAP" in err
-
-
-def test_config_validation(monkeypatch):
-    monkeypatch.setenv("GAPLAB_HK_CAP", "0")
-    with pytest.raises(DomainError):
-        held_karp_cap()
 
 
 def test_solve_ratio_reports_the_sqrt_half_closed_form(capsys):

@@ -41,10 +41,8 @@ def test_non_finite_coordinates_rejected(solver, bad):
 
 def test_size_caps():
     pts = np.random.default_rng(0).uniform(0, 1, size=(11, 2))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^11 points exceeds the enumeration cap of 10$"):
         brute_force(pts)
-    with pytest.raises(DomainError):
-        held_karp(pts, max_points=10)
     with pytest.raises(DomainError, match="^21 points exceeds the DP cap of 20$"):
         held_karp(np.random.default_rng(21).uniform(0, 10, (21, 2)))
 
@@ -110,8 +108,9 @@ def test_held_karp_returns_the_pinned_optimal_order(points, order, length):
     assert tour.length == length
 
 
-def test_held_karp_convex_polygon_at_the_default_cap():
-    # points in convex position: the only optimal tour is the hull order
+def test_held_karp_convex_polygon_at_the_cap():
+    # 20 points in convex position, the DP's fixed cap: the only optimal
+    # tour is the hull order
     angle = 2 * np.pi * np.arange(20) / 20
     radius = 5 + 0.01 * np.arange(20)
     ring = np.column_stack([radius * np.cos(angle), radius * np.sin(angle)])

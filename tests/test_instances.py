@@ -71,6 +71,23 @@ def test_d_whose_rows_overflow_rejected():
     assert "Infinity" in json.dumps(doc)
     with pytest.raises(DomainError, match=message):
         from_json(json.dumps(doc))
+    # an integer d too large for a float is refused with the same message,
+    # in a spec and in a document whose points are those of G(3, 1)
+    huge = 10 ** 400
+    message = f"^d must be a positive real with 3d finite, got {huge}$"
+    with pytest.raises(DomainError, match=message):
+        InstanceSpec(3, huge)
+    doc = json.loads(to_json(gline_instance(3, 1.0)))
+    doc["d"] = huge
+    with pytest.raises(DomainError, match=message):
+        from_json(json.dumps(doc))
+    # a bool d is refused like a bool n, so to_json never writes "d": true
+    for flag in (True, False):
+        with pytest.raises(DomainError, match=f"^d must be a positive real with 3d finite, got {flag}$"):
+            InstanceSpec(3, flag)
+    doc["d"] = True
+    with pytest.raises(DomainError, match="^d must be a positive real with 3d finite, got True$"):
+        from_json(json.dumps(doc))
 
 
 def test_bad_metric_exponent_rejected():
