@@ -16,15 +16,14 @@ row between one middle end point and the opposite bottom corner, at cost
 
 The optimal z-vector is balanced (entries floor(n/k) or ceil(n/k), by
 convexity of c), so only its length k is searched.  The balanced length
-n + k + 2d - 2 + k c^(n/k), with c^ the piecewise-linear interpolant of c,
-is convex in k, being the perspective of a convex function.
-``optimal_zvector`` therefore evaluates a window of even k that grows until
-both its edges rise outward by more than a stated rounding margin, which
-certifies the window holds the minimum of all even k, and compares that
-minimum with k = 1.  ``optimal_zvectors`` runs that search on many (n, d)
-rows together, as a sweep does: each row keeps its own certified window,
-and the windows are evaluated as one flat array, in blocks of bounded
-size.  ``optimal_zvector`` is its one-row case.
+V(k) is linear in k while q = n // k stays put, with kinks at k = n/q; its
+convex interpolant takes the value n + 2d - 2 + n (1 + c(q))/q at the kink
+k = n/q, and (1 + c(q))/q is least next to q* = (d^2 + 1)/2.
+``optimal_zvector`` therefore evaluates V at the two even k next to the
+kinks of four q around q*, eight values that always hold the exact
+minimum over all even k, and compares that minimum with k = 1.
+``optimal_zvectors`` does the same for many (n, d) rows in one array
+operation, as a sweep does; ``optimal_zvector`` is its one-row case.
 """
 from __future__ import annotations
 
@@ -139,6 +138,8 @@ def sqrt_inequality_check(a: float, b: float, c: float) -> bool:
 def _check_gline(inst: Instance) -> tuple[int, float]:
     if not isinstance(inst, Instance) or inst != generate(inst.spec):
         raise DomainError("not a generated G(n, d) instance")
+    if inst.spec.p != 2:
+        raise DomainError("z-vector tours require the Euclidean metric (p = 2)")
     return inst.spec.n, float(inst.spec.d)
 
 
@@ -205,37 +206,12 @@ def balanced_zvector(n: int, k: int) -> ZVector:
     return ZVector(entries=tuple([q] * (k - r) + [q + 1] * r))
 
 
-def _even_k_values(n, d: np.ndarray, ks: np.ndarray) -> np.ndarray:
+def _even_k_values(n, d, ks):
     """Formula lengths V(k) of the balanced z-vectors with the even lengths
-    ks; d is an array shaped like ks, and n a scalar or such an array."""
+    ks; n and d broadcast against ks."""
     q, r = n // ks, n % ks
-    # c(q) and c(q + 1) depend on (q, d) alone, and q = n // k changes rarely
-    # from one k to the next: evaluate them once per run of equal (q, d)
-    new = np.ones(len(ks) + 1, dtype=bool)
-    new[1:-1] = (q[1:] != q[:-1]) | (d[1:] != d[:-1])
-    bounds = new.nonzero()[0]
-    run, size = bounds[:-1], bounds[1:] - bounds[:-1]
-    q_run, d_run = q[run], d[run]
-    c_q = (2.0 * (q_run - 1) + np.hypot(q_run - 1, d_run)).repeat(size)
-    c_next = (2.0 * q_run + np.hypot(q_run, d_run)).repeat(size)
-    return n + ks + 2.0 * d - 2.0 + ((ks - r) * c_q + r * c_next)
-
-
-# Relative float-rounding margin of the windowed search in optimal_zvectors.
-# Each computed V(k) is formed with at most ten roundings of relative size
-# u = 2^-53 (hypot included), and every partial sum lies below V(k) + 2, so
-# the computed value is within rho = 2^-49 of the exact one, relatively.  If
-# the window's edge values differ by D > margin * fl(V(edge)), the exact
-# edge slope is at least D - 2 rho V(edge), and by convexity every k beyond
-# the edge has exact V(k) >= V(edge) + that slope; its computed value then
-# exceeds the computed edge value once D > 4 rho V(edge) (to first order in
-# rho).  The margin 2^-44 = 32 rho leaves a factor 8 over that.  Two such
-# nearby positive values subtract exactly (Sterbenz), so D carries no error.
-_SLOPE_MARGIN = 2.0 ** -44
-
-# Most window values optimal_zvectors evaluates at once (a row whose window
-# alone is larger runs by itself); bounds its temporaries to a few MB.
-_BLOCK_VALUES = 2 ** 15
+    sum_c = (ks - r) * (2.0 * (q - 1) + np.hypot(q - 1, d)) + r * (2.0 * q + np.hypot(q, d))
+    return n + ks + 2.0 * d - 2.0 + sum_c
 
 
 def in_search_domain(n, d):
@@ -256,34 +232,15 @@ def _check_zvector_row(n: int, d: float) -> None:
         raise DomainError(f"row spacing d must be <= 2^1000, got {d!r}")
 
 
-def _search_windows(n, d, lo, hi, last):
-    """One window of even k = 2 lo .. 2 hi per row, flattened into one
-    array: whether both edges of each window are certified, and each
-    window's first argmin k and its value."""
-    width = hi - lo + 1
-    ends = width.cumsum()
-    starts = ends - width
-    ks = 2 * (np.arange(ends[-1]) - (starts - lo).repeat(width))
-    vals = _even_k_values(n.repeat(width), d.repeat(width), ks)
-    first, second = vals[starts], vals[starts + 1]
-    right, inner = vals[ends - 1], vals[ends - 2]
-    certified = ((lo == 1) | (first - second > _SLOPE_MARGIN * first)) \
-        & ((hi == last) | (right - inner > _SLOPE_MARGIN * right))
-    mins = np.minimum.reduceat(vals, starts)
-    hits = (vals == mins.repeat(width)).nonzero()[0]
-    return certified, ks[hits[hits.searchsorted(starts)]], mins
-
-
 def optimal_zvectors(ns, ds) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`optimal_zvector` of every row (ns[i], ds[i]), searched together.
+    """:func:`optimal_zvector` of every row (ns[i], ds[i]), as one array
+    operation over the rows.
 
     Returns the int64 lengths k and the float64 formula lengths, each
-    equal to what ``optimal_zvector(ns[i], ds[i])`` returns, bit for bit:
-    every row keeps its own certified window and its own doubling.  The
-    windows of many rows are evaluated as one flat array, in blocks of at
-    most ``_BLOCK_VALUES`` values, so that a long sweep pays the numpy call
-    overhead per block rather than per row, with bounded memory.  Raises
-    the DomainError of the first row outside :func:`in_search_domain`.
+    equal to what ``optimal_zvector(ns[i], ds[i])`` returns, bit for bit.
+    Every row costs eight candidate values of V, whatever its n and d.
+    Raises the DomainError of the first row outside
+    :func:`in_search_domain`.
     """
     ns, ds = np.asarray(ns), np.asarray(ds, dtype=float)
     if ns.ndim != 1 or ns.shape != ds.shape:
@@ -293,35 +250,19 @@ def optimal_zvectors(ns, ds) -> tuple[np.ndarray, np.ndarray]:
     if bad.any():
         i = int(np.argmax(bad))
         _check_zvector_row(ns.tolist()[i], float(ds[i]))  # tolist: ns may hold Python ints
-    ns = ns.astype(np.int64)
-    last = ns // 2  # even k = 2j for j = 1..last
-    # the start is k = 2..8 for any int64 n once d > 2^32: clamp d there, so q*^2 stays finite
-    q_star = (np.minimum(ds, 2.0 ** 32) ** 2 + 1.0) / 2.0
-    centre = np.minimum(np.maximum(np.rint(ns / (2.0 * q_star)).astype(np.int64), 1), last)
-    # V is linear in k while n // k stays put, kinked at k = n/q; start one
-    # kink spacing (about n/q*^2 in k) to each side, which usually certifies
-    half = np.ceil(ns / (2.0 * q_star * q_star)).astype(np.int64) + 2
-    ks = np.empty(len(ns), dtype=np.int64)
-    values = np.empty(len(ns))
-    rows = np.arange(len(ns))
-    while rows.size:
-        lo = np.maximum(centre[rows] - half[rows], 1)
-        hi = np.minimum(centre[rows] + half[rows], last[rows])
-        ends = (hi - lo + 1).cumsum()
-        failed = []
-        a = 0
-        while a < rows.size:
-            # the rows from a whose windows end within _BLOCK_VALUES, at least one
-            base = ends[a - 1] if a else 0
-            b = max(int(ends.searchsorted(base + _BLOCK_VALUES, side="right")), a + 1)
-            block = rows[a:b]
-            certified, block_ks, block_values = _search_windows(
-                ns[block], ds[block], lo[a:b], hi[a:b], last[block])
-            ks[block], values[block] = block_ks, block_values
-            failed.append(block[~certified])
-            a = b
-        rows = np.concatenate(failed)
-        half[rows] *= 2
+    n = ns.astype(np.int64)[:, None]
+    d = ds[:, None]
+    # the float q* is within 1 of the exact one below d = 2^26.5, and past
+    # n/2 above it; clamping d at 2^32 keeps d^2 finite and q* past n/2
+    q_star = (np.minimum(d, 2.0 ** 32) ** 2 + 1.0) / 2.0
+    q = np.floor(np.minimum(q_star, n / 2.0)).astype(np.int64) + np.arange(-1, 3)
+    q = np.clip(q, 1, n // 2)
+    below = 2 * (n // (2 * q))  # the even k at or below the kink n/q
+    ks = np.sort(np.minimum(np.concatenate([below, below + 2], axis=1), n), axis=1)
+    vals = _even_k_values(n, d, ks)
+    best = vals.argmin(axis=1)  # the first, so ties go to the smaller k
+    rows = np.arange(len(best))
+    ks, values = ks[rows, best], vals[rows, best]
     # k = 1 can only tie the even minimum, in floats; take its value from
     # zvector_tour_value, since math.hypot and np.hypot may differ in the last bit
     for i, (n, d, v) in enumerate(zip(ns.tolist(), ds.tolist(), values.tolist())):
@@ -335,19 +276,28 @@ def optimal_zvector(n: int, d: float) -> tuple[int, float]:
     """Length k and formula length of the minimum-length z-vector for G(n, d).
 
     The vector itself is ``balanced_zvector(n, k)``: balanced entries are
-    optimal for each length by convexity of c.  Returns the same k and the
-    bit-identical value of a full argmin over the balanced even k = 2..n
-    (ties to the smaller k) followed by the comparison with k = 1, found
-    without evaluating every k.  The balanced length
-    V(k) = n + k + 2d - 2 + k c^(n/k), with c^ the piecewise-linear
-    interpolant of the convex c, is convex in k: k c^(n/k) is the
-    perspective of c^.  So a window of even k that contains the minimum
-    and whose edge values both rise outward by more than the rounding
-    margin ``_SLOPE_MARGIN`` certifies that no k outside it computes a
-    value as small.  The window starts around k = n / q*, where
-    q* = (d^2 + 1)/2 minimises (c(q) + 1)/q over real q, and doubles until
-    both edges are certified or it covers 2..n; the start only affects the
-    speed.  This is the one-row case of :func:`optimal_zvectors`, which a
+    optimal for each length by convexity of c.  The even k are searched at
+    the kinks of V(k) = n + k + 2d - 2 + (k - r) c(q) + r c(q + 1), with
+    q = n // k and r = n % k.  V is linear in k while q stays put, and its
+    convex interpolant takes the value n + 2d - 2 + n h(q) at the kink
+    k = n/q, where h(q) = (1 + c(q))/q.  h is quasiconvex for q > 0, with
+    its one stationary point at q* = (d^2 + 1)/2, so the real argmin over
+    k in [2, n] is the kink of floor(q*) or ceil(q*), clipped to
+    [1, n/2], and the even argmin is one of the two even k next to it.
+    The candidates are those two even k, clipped to [2, n], for
+    q = floor(min(q*, n/2)) - 1 .. + 2 clipped to [1, n/2] (the spare q
+    cover the rounding of q*): eight values, of which the first minimum
+    (ties to the smaller k) is compared with k = 1 (ties to k = 1).
+
+    The exact argmin over even k is always a candidate.  Each computed V
+    takes at most ten roundings of relative size 2^-53, hypot included,
+    with every partial sum below V + 2, so it lies within 2^-49 of the
+    exact value, relatively, and the returned value lies within 2^-49 of
+    the exact optimum.  On every gated grid the result is the k and the
+    bit-identical value of a full argmin over k = 2..n followed by the
+    k = 1 comparison; above n of about 2e11, float ties along flat
+    stretches of V may make it another k of an equal or one-ulp-different
+    value.  This is the one-row case of :func:`optimal_zvectors`, which a
     sweep calls on all its rows at once.  Requires (n, d) in
     :func:`in_search_domain`.
     """

@@ -248,9 +248,9 @@ def sweep(n_values, d_rule: DRule) -> list[RatioReport]:
     :func:`ratio_exact` report: the closed LP form, and the z-vector
     optimum beside the closed tour forms that hold.  The rows inside the
     search's domain are searched together by one
-    :func:`gline.optimal_zvectors` call, each row in its own certified
-    window; the others get :func:`gline.optimal_zvector`'s error.  Per-row
-    failures are recorded in the row and the sweep continues."""
+    :func:`gline.optimal_zvectors` call; the others get
+    :func:`gline.optimal_zvector`'s error.  Per-row failures are recorded
+    in the row and the sweep continues."""
     reports = []
     for n in n_values:
         report = RatioReport(n=int(n), d=math.nan)

@@ -92,6 +92,12 @@ def test_solve_tour_rejects_n_past_the_search_domain(capsys):
     assert (code, out, err) == (2, "", f"error: n must be <= 2^53, got {2 ** 64}\n")
 
 
+def test_solve_tour_at_the_top_of_the_search_domain(capsys):
+    code, out, err = run(capsys, "solve", "tour", "--n", str(2 ** 53), "--d", "4")
+    assert code == 0 and err == ""
+    assert out.startswith("tour = ") and out.endswith("  [zvector]\n")
+
+
 def test_gen_rejects_d_whose_rows_overflow(capsys):
     code, out, err = run(capsys, "gen", "--n", "3", "--d", "1e308")
     assert (code, out, err) == (2, "", "error: d must be a positive real with 3d finite, got 1e+308\n")
@@ -216,6 +222,13 @@ def test_sweep_rows_past_the_search_domain(capsys):
         assert code == 0 and err == ""
         rows = list(csv.reader(out.splitlines()))[1:]
         assert [row[-1] for row in rows] == [f"n must be <= 2^53, got {n}" for n in (start, start + 2)]
+
+
+def test_sweep_row_at_the_top_of_the_search_domain(capsys):
+    code, out, err = run(capsys, "sweep", "--n", f"{2 ** 53}:{2 ** 53}", "--d-rule", "const:4")
+    assert code == 0 and err == ""
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert len(rows) == 1 and rows[0][0] == str(2 ** 53) and rows[0][-1] == ""
 
 
 def test_sweep_rejects_a_bare_n(capsys):

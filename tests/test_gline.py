@@ -196,25 +196,18 @@ def assert_batch_matches_enumeration(ns, ds):
 
 
 @pytest.mark.parametrize("d", [4.0, 4.5, 10.0, 50.0])
-def test_zvector_search_matches_full_enumeration(d, monkeypatch):
-    """Gate of the windowed search: same k, bit-identical value, every even n,
+def test_zvector_search_matches_full_enumeration(d):
+    """Gate of the kink search: same k, bit-identical value, every even n,
     one n at a time and all n in one batched call."""
     ns = list(range(4, 2001, 2))
     for n in ns:
         assert_search_matches_enumeration(n, d)
-    assert_batch_matches_enumeration(ns, [d] * len(ns))
-    # the rows' windows total about 19,800 values at d = 4, one block of the
-    # real bound; a bound of 16 splits the same call into hundreds of blocks,
-    # and at d = 4 and 4.5 many are a single row whose window alone exceeds it
-    monkeypatch.setattr(gline, "_BLOCK_VALUES", 2 ** 4)
     assert_batch_matches_enumeration(ns, [d] * len(ns))
 
 
 def test_zvector_search_matches_full_enumeration_large_and_growing_d():
     for n in list(range(2002, 20001, 666)) + [19998, 20000]:
         assert_search_matches_enumeration(n, 4.0)
-    # one call whose rows span several blocks of the real bound: about
-    # 110,000 window values
     ns = list(range(2002, 20001, 26))
     assert_batch_matches_enumeration(ns, [4.0] * len(ns))
     for rule, ns in ((DRule.parse("pow:0.5"), (16, 100, 1000, 4096, 9998)),
@@ -233,70 +226,33 @@ def test_zvector_search_matches_full_enumeration_large_and_growing_d():
     assert_batch_matches_enumeration(*zip(*mixed))
 
 
-def test_zvector_search_without_certified_edges_spans_every_k(monkeypatch):
-    """With a margin no edge can meet, the window doubles until it covers
-    every even k, and the answer is still the full enumeration's."""
-    monkeypatch.setattr(gline, "_SLOPE_MARGIN", 1.0)
-    ns = list(range(4, 201, 2))
-    for d in (4.0, 4.5, 10.0, 50.0):
-        for n in ns:
-            assert_search_matches_enumeration(n, d)
-        assert_batch_matches_enumeration(ns, [d] * len(ns))
-
-
-def test_batched_search_doubles_only_the_rows_that_need_it(monkeypatch):
-    """At the real margin no row of const:4 or sqrt-n-1 over n = 18..20000
-    needs a second window, and neither does any row of n = 4..400 with
-    d in {4, 4.5, 5, 7, 10, 20, 50}.  So only a patched margin runs the
-    doubling path, here next to rows that certify on their first window.
-    Every block stays within the bound on window values."""
-    windows = []
-    search = gline._search_windows
-
-    def counting(n, d, lo, hi, last):
-        windows.extend(n.tolist())
-        # a block holds at most _BLOCK_VALUES window values, or one row
-        assert len(n) == 1 or (hi - lo + 1).sum() <= gline._BLOCK_VALUES
-        return search(n, d, lo, hi, last)
-
-    monkeypatch.setattr(gline, "_search_windows", counting)
-    ns = np.arange(18, 20001, 2)
-    grid = np.arange(4, 401, 2)
-    for rows, ds in ((ns, np.full(len(ns), 4.0)), (ns, np.sqrt(ns - 1.0)),
-                     *((grid, np.full(len(grid), d)) for d in (4, 4.5, 5, 7, 10, 20, 50))):
-        windows.clear()
-        optimal_zvectors(rows, ds)
-        assert windows == rows.tolist()  # one window per row, in row order
-    ns = list(range(4, 2001, 2))
-    monkeypatch.setattr(gline, "_SLOPE_MARGIN", 2.0 ** -12)
-    for d in (4.0, 4.5, 10.0):
-        windows.clear()
-        assert_batch_matches_enumeration(ns, [d] * len(ns))
-        per_row = [windows.count(n) for n in ns]
-        assert min(per_row) == 1 and max(per_row) >= 3, d
-
-
-def test_even_k_values_break_runs_where_d_changes():
-    """V(k) takes c(q) once per run of equal (q, d); rows of equal n and
-    different d put equal q side by side, which must not share a run."""
-    ks = np.repeat(np.arange(2, 401, 2), 3)
-    for n, d in ((400, np.tile([4.0, 6.0, 6.0], 200)),
-                 (np.repeat([400, 401, 400], 200), np.full(600, 4.5)),
-                 (np.tile([400, 398, 396], 200), np.tile([4.0, 4.0, 50.0], 200))):
-        want = plain_even_k_values(n, d, ks)
-        assert gline._even_k_values(n, d, ks).tolist() == want.tolist()
-    ks = np.arange(2, 2001, 2)
-    d = np.full(len(ks), 4.0)
-    assert gline._even_k_values(2000, d, ks).tolist() == plain_even_k_values(2000, d, ks).tolist()
+def test_search_holds_its_bound_up_to_2_to_the_53():
+    """Past any full enumeration: the returned value is, up to the 2^-49
+    rounding of each V, no greater than V at every even k within 64 steps
+    of the returned k and at the even k next to the kinks n/q for q within
+    5 of floor(q*), and no less than the tour lower bound."""
+    ns = [10 ** 6, 2 ** 30 + 2, 10 ** 12, 3 * 2 ** 40 + 2, 2 ** 52 + 6, 2 ** 53 - 2, 2 ** 53]
+    rows = [(n, d) for n in ns for d in (4.0, 1e3, 1e5)]
+    ks, values = optimal_zvectors(*zip(*rows))
+    for (n, d), k, value in zip(rows, ks.tolist(), values.tolist()):
+        assert (k, value) == optimal_zvector(n, d)
+        q_star = math.floor((d * d + 1) / 2)
+        kinks = [2 * (n // (2 * q)) + j for q in range(max(q_star - 5, 1), min(q_star + 5, n // 2) + 1)
+                 for j in (0, 2)]
+        near = range(max(k - 128, 2), min(k + 128, n) + 1, 2)
+        others = np.array(sorted({min(kk, n) for kk in kinks} | set(near)))
+        assert (value <= plain_even_k_values(n, d, others) * (1 + 2.0 ** -49)).all(), (n, d)
+        assert value >= tour_lower_bound(n, d), (n, d)
 
 
 def test_batched_search_breaks_ties_to_the_smaller_k(monkeypatch):
-    """No (n, d) tried has two even k at the minimum, so a V(k) with a flat
-    bottom over k = 16..24 stands in for one."""
-    monkeypatch.setattr(gline, "_even_k_values",
-                        lambda n, d, ks: np.maximum(np.abs(ks - 20.0), 4.0))
+    """No (n, d) tried has two candidates at the minimum, so a constant V
+    stands in for one: every candidate ties, and the smallest is returned.
+    At d = 4 the candidates come from q = 7..10, and q = 10 gives the
+    smallest k, 2 (n // 20)."""
+    monkeypatch.setattr(gline, "_even_k_values", lambda n, d, ks: np.full(ks.shape, 4.0))
     ks, values = optimal_zvectors([60, 400, 2000], [4.0, 4.0, 4.0])
-    assert ks.tolist() == [16, 16, 16] and values.tolist() == [4.0, 4.0, 4.0]
+    assert ks.tolist() == [6, 40, 200] and values.tolist() == [4.0, 4.0, 4.0]
 
 
 def test_batched_search_inputs():
@@ -431,9 +387,10 @@ def test_closed_form_tour_value_bounds():
     lambda: insertion_cost_inner(0, 4.0),
     lambda: insertion_cost_end(1.5, 4.0),
     lambda: tour_from_zvector(np.zeros((6, 2)), ZVector((1, 1))),
+    lambda: tour_from_zvector(gline_instance(6, 4.0, p=1), ZVector((3, 3))),
     lambda: zvector_tour_value(10, 3, 4.0, 0.0),
     lambda: balanced_zvector(5, 6),
-], ids=["c_cost-d", "inner-k", "end-k", "tour-raw-array", "value-odd-k", "balanced-k"])
+], ids=["c_cost-d", "inner-k", "end-k", "tour-raw-array", "tour-p1", "value-odd-k", "balanced-k"])
 def test_input_checks_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
