@@ -12,6 +12,19 @@ violated subset sought, as a global minimum cut below 2 (Stoer-Wagner) on
 the fractional support graph, with its value-1 edges contracted.  When no
 subset is violated, the objective is the subtour-LP optimum, also known
 as the Held-Karp bound.
+
+The loop solves the LP over the orbits of a group of point permutations
+that maps the input onto itself, read from the input: a generated G(n, d)
+has the mirror in x (column i -> n+1-i), the mirror in y (row j -> 4-j)
+and both together, and every other input has the identity alone.  The
+subtour LP is invariant under the group and convex, so the average of an
+optimal solution over the group is optimal too, and the LP over solutions
+constant on each edge orbit has the same optimum (Boedi, Herr and Joswig,
+Algorithms for highly symmetric linear and integer programs, Math.
+Programming 137, 2013).  It has one column per edge orbit, one degree row
+per point orbit and one row per subset, which stands for all the
+subset's images.  Under the identity each orbit is one edge or one point,
+and the loop is the plain cutting-plane loop over the full LP.
 """
 from __future__ import annotations
 
@@ -259,6 +272,49 @@ def _quadrant_core(coords: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return np.flatnonzero(keep[np.triu(np.ones_like(keep), 1)])
 
 
+def _mirrors(obj) -> list[np.ndarray]:
+    """The point permutations other than the identity that map the input
+    onto itself: for a generated G(n, d), the mirror in x, the mirror in y
+    and both together; none for any other input.  A mirror keeps every
+    coordinate difference up to sign, so it keeps every L^p distance."""
+    if not (isinstance(obj, Instance) and obj == generate(obj.spec)):
+        return []
+    grid = np.arange(obj.n_points).reshape(3, obj.spec.n)  # grid[row - 1, col - 1]
+    return [grid[:, ::-1].ravel(), grid[::-1].ravel(), grid[::-1, ::-1].ravel()]
+
+
+def _pair_positions(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Positions in :func:`edge_endpoints` order of the pairs {a[k], b[k]},
+    a[k] != b[k]; a and b are overwritten."""
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b, out=b)
+    pos = np.subtract(2 * n - 3, lo, out=a)  # the pair (i, j), i < j, sits at i(2n-3-i)/2 + j - 1
+    pos *= lo
+    pos //= 2
+    pos += hi
+    pos -= 1
+    return pos
+
+
+def _least_image(S, mirrors: list[np.ndarray]) -> frozenset[int]:
+    """Of S and its images, the one whose sorted points come first: the
+    images of a subset give one row over the orbits."""
+    points = sorted(S)
+    return frozenset(min([points, *(sorted(g[points].tolist()) for g in mirrors)]))
+
+
+def _orbit_edges(cols: np.ndarray, I: np.ndarray, J: np.ndarray, n: int,
+                 mirrors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge of the orbits whose least edges are cols, with the LP
+    column of its orbit: cols first, then their images under each mirror,
+    each edge once."""
+    images = np.stack([cols, *(_pair_positions(g[I[cols]], g[J[cols]], n) for g in mirrors)])
+    first = np.ones(images.shape, dtype=bool)  # an image not met earlier in its column
+    for k in range(1, len(images)):
+        first[k] = (images[k] != images[:k]).all(axis=0)
+    return images[first], np.nonzero(first)[1]
+
+
 def _inside(S, I: np.ndarray, J: np.ndarray, n: int) -> np.ndarray:
     """Which edges (I, J) lie inside S: the one subset-to-edge map, for cut rows and pricing."""
     inside = np.zeros(n, dtype=bool)
@@ -266,29 +322,35 @@ def _inside(S, I: np.ndarray, J: np.ndarray, n: int) -> np.ndarray:
     return inside[I] & inside[J]
 
 
-def _subset_row(S, I: np.ndarray, J: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """The sparse row of sum_{e inside S} x_e <= |S| - 1 over the edges (I, J)."""
-    cols = np.flatnonzero(_inside(S, I, J, n))
+def _subset_row(S, I: np.ndarray, J: np.ndarray, column: np.ndarray,
+                n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """The sparse row of sum_{e inside S} x_e <= |S| - 1 over the edges
+    (I, J), edge k in LP column column[k]."""
+    cols = column[_inside(S, I, J, n)]
     return cols, np.ones(len(cols)), float(len(S) - 1)
 
 
-def _subtour_lp(n: int, I: np.ndarray, J: np.ndarray, costs: np.ndarray, subsets) -> SparseLp:
-    """The LP over the edges (I[k], J[k]): one degree row per point, then
-    one row per subset in order."""
+def _subtour_lp(n: int, I: np.ndarray, J: np.ndarray, column: np.ndarray, costs: np.ndarray,
+                reps: np.ndarray, subsets) -> SparseLp:
+    """The LP over the edges (I[k], J[k]) of cost costs[k], edge k in
+    column column[k], which costs the sum of its edges: one degree row per
+    point in reps, then one row per subset in order."""
     ends = np.concatenate([I, J])
     # each point's edges, those where it is the smaller end first; the order
     # within a row does not matter, since the solver sorts the entries by column
     incident = np.split(np.argsort(ends, kind="stable") % len(I),
                         np.cumsum(np.bincount(ends, minlength=n))[:-1])
-    return SparseLp(objective=costs, eq_rows=[(cols, np.ones(len(cols)), 2.0) for cols in incident],
-                    ineq_rows=[_subset_row(S, I, J, n) for S in subsets],
-                    var_bounds=np.tile([0.0, 1.0], (len(costs), 1)))
+    objective = np.bincount(column, costs)
+    return SparseLp(objective=objective,
+                    eq_rows=[(column[incident[p]], np.ones(len(incident[p])), 2.0) for p in reps],
+                    ineq_rows=[_subset_row(S, I, J, column, n) for S in subsets],
+                    var_bounds=np.tile([0.0, 1.0], (len(objective), 1)))
 
 
 def _reduced_costs(costs: np.ndarray, I: np.ndarray, J: np.ndarray, n: int, duals: np.ndarray,
                    subsets) -> np.ndarray:
     """c_e - y_i - y_j - sum_{S containing i, j} y_S for every edge (I, J),
-    from the duals of the degree rows, then of the subset rows.  Each
+    from the duals of the n points, then of the subset rows.  Each
     nonzero subset dual is added over :func:`_inside`, the mask its cut row
     is built from, so no (points x points) array is built."""
     y = duals[:n]
@@ -305,53 +367,86 @@ def solve_subtour_lp(obj) -> tuple[EdgeValueMap, list[CutRecord]]:
     Returns the last round's edge values over every point pair, optimal
     over all edges and with no violated subset, together with the cuts
     added on the way.
+
+    A generated G(n, d) is solved over the orbits of its mirrors (module
+    docstring): one LP column per edge orbit, costing the sum of its
+    edges, and one degree row per point orbit, at its least index.  A
+    subset row counts the edges of each orbit inside the subset, and a
+    subset joins the LP as the least of its images.  Pricing stays per
+    edge, with each point orbit's dual spread evenly over its points, and
+    an orbit enters when its edges' reduced costs sum below
+    -REDUCED_COST_TOL.  Separation and the returned values take x_e = the
+    value of e's orbit.  Any other input has the identity alone, and its
+    LP is the full LP: one column per edge, one degree row per point.
     """
     coords, p = coerce_points(obj)
     n = len(coords)
     dist = pairwise_distances(coords, p)
     I, J = edge_endpoints(n)
     costs = dist[I, J]
+    core = _quadrant_core(coords, dist)
+    del dist
 
-    cols = _quadrant_core(coords, dist)  # the LP's columns, as edge indices
+    mirrors = _mirrors(obj)
+    orbit = np.arange(len(I))   # the least edge of every edge's orbit
+    point_orbit = np.arange(n)  # the least point of every point's orbit
+    for g in mirrors:
+        np.minimum(orbit, _pair_positions(g[I], g[J], n), out=orbit)
+        np.minimum(point_orbit, g, out=point_orbit)
+    reps = np.flatnonzero(point_orbit == np.arange(n))  # one degree row each
+    row = np.searchsorted(reps, point_orbit)             # every point's degree row
+    share = np.bincount(point_orbit)[point_orbit]        # the size of every point's orbit
+
+    # the LP's columns, as the least edges of their orbits
+    cols = np.flatnonzero(np.bincount(orbit[core], minlength=len(I)))
+    edges, column = _orbit_edges(cols, I, J, n, mirrors)
     subsets: list[frozenset[int]] = []
-    lp = _subtour_lp(n, I[cols], J[cols], costs[cols], subsets)
+    lp = _subtour_lp(n, I[edges], J[edges], column, costs[edges], reps, subsets)
     records: list[CutRecord] = []
     sol = None  # every solve warm-starts from the previous one
 
     for _round in range(CUT_ROUND_FACTOR * n):
-        while True:  # price every edge until none has a negative reduced cost
+        while True:  # price every edge until no orbit has a negative reduced cost
             sol = lp_solver.solve(lp, start=sol)
-            if sol.status is LpStatus.INFEASIBLE and len(cols) < len(I):
-                # the core admits no solution: take every edge
-                new = np.setdiff1d(np.arange(len(I)), cols)
-            elif sol.status is not LpStatus.OPTIMAL:
-                raise SubtourSolveError(f"subtour LP solve returned {sol.status.value}")
-            else:
+            if sol.status is LpStatus.OPTIMAL:
                 # the edge-sized reduced costs are dropped before the next solve
-                prices_in = _reduced_costs(costs, I, J, n, sol.duals, subsets) < -REDUCED_COST_TOL
+                duals = np.concatenate([sol.duals[row] / share, sol.duals[len(reps):]])
+                prices_in = np.bincount(orbit, _reduced_costs(costs, I, J, n, duals, subsets),
+                                        len(I)) < -REDUCED_COST_TOL
                 prices_in[cols] = False
                 new = np.flatnonzero(prices_in)
                 if not new.size:
                     break
+            else:
+                # the core admits no solution: take every orbit
+                missing = orbit == np.arange(len(I))
+                missing[cols] = False
+                new = np.flatnonzero(missing)
+                if sol.status is not LpStatus.INFEASIBLE or not new.size:
+                    raise SubtourSolveError(f"subtour LP solve returned {sol.status.value}")
             cols = np.concatenate([cols, new])
-            lp = _subtour_lp(n, I[cols], J[cols], costs[cols], subsets)
-        order = np.argsort(cols)  # separate on the LP's columns, in edge_endpoints order
-        x = EdgeValueMap(n, I[cols[order]], J[cols[order]], sol.values[order], sol.objective_value)
+            edges, column = _orbit_edges(cols, I, J, n, mirrors)
+            lp = _subtour_lp(n, I[edges], J[edges], column, costs[edges], reps, subsets)
+        order = np.argsort(edges)  # separate on the LP's edges, in edge_endpoints order
+        x = EdgeValueMap(n, I[edges[order]], J[edges[order]], sol.values[column[order]],
+                         sol.objective_value)
         violated = _shrunk_violated_sets(x)
         if not violated:
             values = np.zeros(len(I))
-            values[cols] = sol.values
+            values[edges] = sol.values[column]
             return EdgeValueMap(n, I, J, values, sol.objective_value), records
-        new_sets = [(S, v) for S, v in violated if S not in subsets]
-        if not new_sets:
+        found = len(subsets)
+        for S, cut_value in violated:
+            S = _least_image(S, mirrors)
+            if S not in subsets:
+                subsets.append(S)
+                lp.ineq_rows.append(_subset_row(S, I[edges], J[edges], column, n))
+                records.append(CutRecord(subset=S, violation=2.0 - cut_value))
+        if len(subsets) == found:
             # a subset whose row is already present cannot stay violated beyond
             # the LP tolerance, so this is a numerical stall, not convergence
             raise SubtourSolveError(
                 f"separation keeps returning already-added cuts ({len(violated)} duplicates)")
-        for S, cut_value in new_sets:
-            subsets.append(S)
-            lp.ineq_rows.append(_subset_row(S, I[cols], J[cols], n))
-            records.append(CutRecord(subset=S, violation=2.0 - cut_value))
     raise CutRoundLimitError(
         f"no cut-free solution after {CUT_ROUND_FACTOR * n} rounds "
         f"({len(records)} cuts added)")

@@ -457,7 +457,7 @@ def test_cutting_plane_pivot_path_on_g18(monkeypatch):
         calls.append((start, sol))
         return sol
     monkeypatch.setattr(sub.lp_solver, "solve", counting_solve)
-    x, cuts = solve_subtour_lp(gline_instance(18, math.sqrt(17)))
+    x, cuts = solve_subtour_lp(gline_instance(18, math.sqrt(17)).coords())
     assert [sol.pivots for _start, sol in calls] == [21, 16]
     assert calls[0][0] is None
     assert all(start is prev for (start, _), (_, prev) in zip(calls[1:], calls))
@@ -491,7 +491,7 @@ def test_cold_solve_of_g120_starts_from_the_crash_basis(monkeypatch):
         calls.append((len(lp.eq_rows) + len(lp.ineq_rows), start, sol))  # the LP grows in place
         return sol
     monkeypatch.setattr(sub.lp_solver, "solve", recording_solve)
-    solve_subtour_lp(gline_instance(120, math.sqrt(119)))
+    solve_subtour_lp(gline_instance(120, math.sqrt(119)).coords())
     m, start, sol = calls[0]
     assert start is None and m == 360
     assert sol.pivots < m / 4
@@ -513,8 +513,76 @@ def test_one_inversion_per_solve_of_g120(monkeypatch):
         return solve_lp(lp, start=start, **kwargs)
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
     monkeypatch.setattr(sub.lp_solver, "solve", counting_solve)
-    solve_subtour_lp(gline_instance(120, math.sqrt(119)))
+    solve_subtour_lp(gline_instance(120, math.sqrt(119)).coords())
     assert len(solves) == 3 and len(inversions) == 3
+
+
+@pytest.mark.parametrize("n,d", [
+    *((n, d) for n in range(3, 11) for d in (1.0, 3.0, 4.0)),  # the criterion-4 grid
+    *((n, math.sqrt(n - 1)) for n in (18, 19, 30, 60, 80, 120)),
+    (7, 1.0), (9, 1.05), (101, 10.0), (200, 4.0),
+])
+def test_orbit_lp_matches_the_full_lp(n, d):
+    # a generated instance is solved over its mirror orbits, its points as a
+    # raw array over every edge; the two optima agree, and the orbit
+    # solution, expanded to every pair, is a cut-free point of the full LP
+    inst = gline_instance(n, d)
+    x, _ = solve_subtour_lp(inst)
+    full, _ = solve_subtour_lp(inst.coords())
+    assert x.objective_value == pytest.approx(full.objective_value, abs=1e-9)
+    I, J = edge_endpoints(inst.n_points)
+    assert np.array_equal(x.I, I) and np.array_equal(x.J, J)
+    assert x.values @ pairwise_distances(inst.coords())[I, J] == pytest.approx(x.objective_value,
+                                                                              abs=1e-9)
+    assert separate(x) is None
+    assert x.max_degree_violation() <= 1e-6
+
+
+def test_orbit_lp_path_on_g18(monkeypatch):
+    # pins the orbit LP of G(18, sqrt(17)): one degree row per point orbit
+    # (18, against 54 over the points) and 61 orbit columns; 8 dual pivots
+    # from the crash basis, then 3 after two cuts.  The cuts are the bottom
+    # row, the least image of the top row too, and the middle row, which
+    # the mirrors keep; the full LP adds all three rows (21 and 16 pivots)
+    import gaplab.subtour as sub
+    solve_lp, calls = sub.lp_solver.solve, []
+
+    def recording_solve(lp, start=None, **kwargs):
+        sol = solve_lp(lp, start=start, **kwargs)
+        calls.append((len(lp.eq_rows), lp.n_vars, sol.pivots))
+        return sol
+    monkeypatch.setattr(sub.lp_solver, "solve", recording_solve)
+    x, cuts = solve_subtour_lp(gline_instance(18, math.sqrt(17)))
+    assert calls == [(18, 61, 8), (18, 61, 3)]
+    assert [sorted(c.subset) for c in cuts] == [list(range(0, 18)), list(range(18, 36))]
+    assert x.objective_value == pytest.approx(closed_form_lp_value(18, math.sqrt(17)), abs=1e-7)
+
+
+def test_orbit_lp_recovers_from_a_poor_core(monkeypatch):
+    # a Hamiltonian path as the core of G(6, 3)'s orbit LP: its orbits
+    # leave the path's ends one edge each, so the LP is infeasible and
+    # every edge orbit joins it
+    import gaplab.subtour as sub
+    inst = gline_instance(6, 3.0)
+    n = inst.spec.n
+    mirrors = [lambda c, r: (n + 1 - c, r), lambda c, r: (c, 4 - r), lambda c, r: (n + 1 - c, 4 - r)]
+    grid = [(c, r) for r in (1, 2, 3) for c in range(1, n + 1)]
+    orbits = {min(tuple(sorted([inst.index_of(*m(*grid[i])), inst.index_of(*m(*grid[j]))]))
+                  for m in [lambda c, r: (c, r), *mirrors])
+              for i, j in itertools.combinations(range(3 * n), 2)}
+    solve_lp, calls = sub.lp_solver.solve, []
+
+    def recording_solve(lp, start=None, **kwargs):
+        calls.append((lp.n_vars, solve_lp(lp, start=start, **kwargs)))
+        return calls[-1][1]
+    path = np.array([i * 18 - i * (i + 1) // 2 for i in range(17)])
+    monkeypatch.setattr(sub, "_quadrant_core", lambda coords, dist: path)
+    monkeypatch.setattr(sub.lp_solver, "solve", recording_solve)
+    x, _cuts = solve_subtour_lp(inst)
+    assert calls[0][1].status is LpStatus.INFEASIBLE
+    assert calls[1][0] == len(orbits)
+    assert x.objective_value == pytest.approx(closed_form_lp_value(6, 3.0), abs=1e-9)
+    assert separate(x) is None and x.max_degree_violation() <= 1e-6
 
 
 def test_point_set_the_frozen_reference_build_cannot_solve():
@@ -692,7 +760,7 @@ def test_loop_recovers_from_a_poor_core(monkeypatch):
     path = np.array([i * 18 - i * (i + 1) // 2 for i in range(17)])
     monkeypatch.setattr(sub, "_quadrant_core", lambda coords, dist: path)
     monkeypatch.setattr(sub.lp_solver, "solve", recording_solve)
-    x, _cuts = solve_subtour_lp(inst)
+    x, _cuts = solve_subtour_lp(inst.coords())
     assert calls[0][0] == 17 and calls[0][1].status is LpStatus.INFEASIBLE
     assert calls[1][0] == 18 * 17 // 2
     assert x.objective_value == pytest.approx(expected.objective_value, abs=1e-9)
@@ -703,7 +771,7 @@ def test_loop_recovers_from_a_poor_core(monkeypatch):
     cycle = np.append(path, 17 - 1)  # the pair (0, 17)
     monkeypatch.setattr(sub, "_quadrant_core", lambda coords, dist: cycle)
     calls.clear()
-    x, _cuts = solve_subtour_lp(inst)
+    x, _cuts = solve_subtour_lp(inst.coords())
     assert calls[0][1].status is LpStatus.OPTIMAL
     assert calls[0][1].objective_value > expected.objective_value + 1.0
     assert x.objective_value == pytest.approx(expected.objective_value, abs=1e-9)
