@@ -17,7 +17,7 @@ from .gline import (
     tour_from_zvector,
     tour_lower_bound,
 )
-from .instances import INF, DomainError, Instance, InstanceSpec, Role, distance, export, from_json, generate
+from .instances import DomainError, Instance, InstanceSpec, Role, distance, export, from_json, generate
 from .lp_solver import LpSolution, LpStatus, SparseLp, solve
 from .ratio import DRule, LpBackend, RatioReport, TourBackend, f_argmin, ratio_exact, ratio_lower_bound, sweep, variant_ratio_sqrt_half
 from .subtour import (
@@ -30,7 +30,7 @@ from .subtour import (
 )
 
 __all__ = [
-    "CutRecord", "DRule", "DomainError", "EdgeValueMap", "INF", "Instance", "InstanceSpec",
+    "CutRecord", "DRule", "DomainError", "EdgeValueMap", "Instance", "InstanceSpec",
     "LpBackend", "LpSolution", "LpStatus", "RatioReport", "Role", "SparseLp", "Tour",
     "TourBackend", "ZTour", "ZVector", "brute_force", "build_half_integral", "c_cost",
     "closed_form_lp_value", "closed_form_tour_value",

@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from . import exact, gline, ratio, subtour
-from .instances import INF, DomainError, InstanceSpec, export, generate
+from .instances import DomainError, InstanceSpec, export, generate
 from .lp_solver import LpIterationLimit, LpNumericalError
 from .ratio import DRule, LpBackend, TourBackend
 
@@ -35,15 +35,6 @@ def fmt12(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def parse_p(text: str) -> float:
-    if text.strip().lower() == "inf":
-        return INF
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise DomainError(f"p must be a positive integer or 'inf', got {text!r}") from exc
-
-
 def _write_output(data: bytes, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(data.decode("utf-8"))
@@ -57,7 +48,7 @@ def _write_output(data: bytes, out: str | None) -> None:
 def cmd_gen(args) -> int:
     if args.scale is not None and args.format != "tsplib":
         raise DomainError(f"gen --format {args.format} takes no --scale")
-    spec = InstanceSpec(n=args.n, d=DRule.parse(args.d).d_of(args.n), p=parse_p(args.p))
+    spec = InstanceSpec(n=args.n, d=DRule.parse(args.d).d_of(args.n))
     scale = 1000 if args.scale is None else args.scale
     _write_output(export(generate(spec), fmt=args.format, scale=scale), args.out)
     return 0
@@ -102,8 +93,8 @@ def cmd_solve(args) -> int:
 
 def parse_range(text: str) -> list[int]:
     parts = text.split(":")
-    if len(parts) not in (2, 3) or not all(p.isascii() and p.removeprefix("-").isdigit()
-                                           for p in parts):
+    if len(parts) not in (2, 3) or not all(part.isascii() and part.removeprefix("-").isdigit()
+                                           for part in parts):
         raise DomainError(f"range must be START:STOP[:STEP], got {text!r}")
     start, stop = int(parts[0]), int(parts[1])
     step = int(parts[2]) if len(parts) == 3 else 1
@@ -225,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate an instance and serialize it")
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--d", type=str, required=True, help=DRule.GRAMMAR)
-    gen.add_argument("--p", type=str, default="2")
     gen.add_argument("--format", choices=["json", "tsplib"], default="json")
     gen.add_argument("--scale", type=int, default=None,
                      help="tsplib only: coordinate multiplier (default 1000)")

@@ -55,11 +55,11 @@ def held_karp(obj) -> Tour:
     at HELD_KARP_CAP (20, about 10M states).  Accepts an Instance or a raw
     (N, 2) array.
     """
-    coords, p = coerce_points(obj)
+    coords = coerce_points(obj)
     n = len(coords)
     if n > HELD_KARP_CAP:
         raise DomainError(f"{n} points exceeds the DP cap of {HELD_KARP_CAP}")
-    dist = pairwise_distances(coords, p)
+    dist = pairwise_distances(coords)
 
     m = n - 1  # vertices 1..n-1 on bits 0..m-1; vertex 0 is the fixed start
     full = 1 << m
@@ -111,11 +111,11 @@ def _perms(k: int) -> np.ndarray:
 
 def brute_force(obj) -> Tour:
     """Optimal tour by enumerating all (N-1)! orders with vertex 0 fixed."""
-    coords, p = coerce_points(obj)
+    coords = coerce_points(obj)
     n = len(coords)
     if n > BRUTE_FORCE_CAP:
         raise DomainError(f"{n} points exceeds the enumeration cap of {BRUTE_FORCE_CAP}")
-    dist = pairwise_distances(coords, p)
+    dist = pairwise_distances(coords)
 
     perms = _perms(n - 1)
     lengths = dist[0, perms[:, 0]] + dist[perms[:, -1], 0]

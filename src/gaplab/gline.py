@@ -138,8 +138,6 @@ def sqrt_inequality_check(a: float, b: float, c: float) -> bool:
 def _check_gline(inst: Instance) -> tuple[int, float]:
     if not isinstance(inst, Instance) or inst != generate(inst.spec):
         raise DomainError("not a generated G(n, d) instance")
-    if inst.spec.p != 2:
-        raise DomainError("z-vector tours require the Euclidean metric (p = 2)")
     return inst.spec.n, float(inst.spec.d)
 
 

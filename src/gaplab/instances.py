@@ -1,10 +1,10 @@
-"""Generation, metrics, and serialization for the three-row grid family G(n, d).
+"""Generation, distances, and serialization for the three-row grid family G(n, d).
 
 G(n, d) consists of the 3n planar points (i, j*d) for i = 1..n and
 j = 1, 2, 3.  The n - 2 interior points of the middle row,
 g_i = (i + 1, 2d) for i = 1..n-2, are the only points that do not lie on
 the boundary of the convex hull; every other point is a hull point.
-Distances are L^p norms (p = 2 unless stated otherwise).
+Distances are Euclidean.
 """
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-
-INF = math.inf  # metric exponent sentinel for the L^inf norm
 
 
 class DomainError(ValueError):
@@ -40,11 +38,10 @@ def _finite_product(x: float, k) -> bool:
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Parameters of a G(n, d) instance: points per row, row spacing, metric."""
+    """Parameters of a G(n, d) instance: points per row and row spacing."""
 
     n: int
     d: float
-    p: float = 2
 
     def __post_init__(self):
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 2:
@@ -52,10 +49,6 @@ class InstanceSpec:
         if not (isinstance(self.d, (int, float)) and not isinstance(self.d, bool)
                 and self.d > 0 and _finite_product(3.0, self.d)):
             raise DomainError(f"d must be a positive real with 3d finite, got {self.d!r}")
-        p = self.p
-        if p != INF and not (isinstance(p, (int, float)) and not isinstance(p, bool)
-                             and p >= 1 and p % 1 == 0):
-            raise DomainError(f"p must be a positive integer or INF, got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -96,7 +89,7 @@ class Instance:
         return np.array(self.points, dtype=float)
 
     def distance_matrix(self) -> np.ndarray:
-        return pairwise_distances(self.coords(), self.spec.p)
+        return pairwise_distances(self.coords())
 
 
 def generate(spec: InstanceSpec) -> Instance:
@@ -118,68 +111,46 @@ def generate(spec: InstanceSpec) -> Instance:
     return Instance(spec=spec, points=tuple(points), roles=tuple(roles))
 
 
-def lp_distance(a, b, p: float = 2) -> float:
-    """L^p distance of two planar points (p a positive integer, or INF)."""
-    dx = abs(a[0] - b[0])
-    dy = abs(a[1] - b[1])
-    if p == INF:
-        return max(dx, dy)
-    if p == 1:
-        return dx + dy
-    if p == 2:
-        return math.hypot(dx, dy)
-    return (dx ** p + dy ** p) ** (1.0 / p)
-
-
-def pairwise_distances(coords: np.ndarray, p: float = 2) -> np.ndarray:
-    """Dense symmetric distance matrix of a (N, 2) coordinate array."""
+def pairwise_distances(coords: np.ndarray) -> np.ndarray:
+    """Dense symmetric Euclidean distance matrix of a (N, 2) coordinate array."""
     coords = np.asarray(coords, dtype=float)
     diff = np.abs(coords[:, None, :] - coords[None, :, :])
-    if p == INF:
-        return diff.max(axis=2)
-    if p == 1:
-        return diff.sum(axis=2)
-    if p == 2:
-        return np.hypot(diff[..., 0], diff[..., 1])
-    return (diff ** p).sum(axis=2) ** (1.0 / p)
+    return np.hypot(diff[..., 0], diff[..., 1])
 
 
 def distance(inst: Instance, i: int, j: int) -> float:
-    """L^p distance between points ``i`` and ``j`` of the instance."""
+    """Euclidean distance between points ``i`` and ``j`` of the instance."""
     npts = inst.n_points
     if not (0 <= i < npts and 0 <= j < npts):
         raise IndexError(f"point index out of range: ({i}, {j}) for {npts} points")
-    return lp_distance(inst.points[i], inst.points[j], inst.spec.p)
+    return math.dist(inst.points[i], inst.points[j])
 
 
-def coerce_points(obj) -> tuple[np.ndarray, float]:
-    """Accept an Instance or a raw (N, 2) coordinate array; return (coords, p).
+def coerce_points(obj) -> np.ndarray:
+    """The coordinates of an Instance or of a raw (N, 2) array.
 
-    Raw arrays are treated as Euclidean point sets.  Several solvers
-    (subtour LP, exact tours) accept either form; both must hold at least
-    3 points, all with finite coordinates.
+    Several solvers (subtour LP, exact tours) accept either form; both must
+    hold at least 3 points, all with finite coordinates.
     """
     if isinstance(obj, Instance):
-        coords, p = obj.coords(), obj.spec.p
+        coords = obj.coords()
     else:
-        coords, p = np.asarray(obj, dtype=float), 2
+        coords = np.asarray(obj, dtype=float)
         if coords.ndim != 2 or coords.shape[1] != 2:
             raise DomainError(f"expected an Instance or an (N, 2) array, got shape {coords.shape}")
     if len(coords) < 3:
         raise DomainError(f"need at least 3 points, got {len(coords)}")
     if not np.isfinite(coords).all():
         raise DomainError("point coordinates must be finite")
-    return coords, p
+    return coords
 
 
 # -- serialization ----------------------------------------------------------
 
 def to_json(inst: Instance) -> str:
-    p = inst.spec.p
     doc = {
         "n": inst.spec.n,
         "d": inst.spec.d,
-        "p": "inf" if p == INF else int(p),
         "points": [[x, y] for x, y in inst.points],
         "roles": [r.value for r in inst.roles],
     }
@@ -190,7 +161,8 @@ def from_json(text: str | bytes) -> Instance:
     """Parse an instance previously produced by :func:`to_json`.
 
     Malformed documents raise DomainError; the reconstructed instance is
-    revalidated against its own spec.
+    revalidated against its own spec.  Earlier versions also wrote the
+    metric exponent "p", which must be 2: the metric is Euclidean.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -198,12 +170,13 @@ def from_json(text: str | bytes) -> Instance:
         doc = json.loads(text)
         n = doc["n"]
         d = doc["d"]
-        p = INF if doc["p"] == "inf" else doc["p"]
         points = tuple((float(x), float(y)) for x, y in doc["points"])
         roles = tuple(Role(r) for r in doc["roles"])
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed instance document: {exc}") from exc
-    inst = Instance(spec=InstanceSpec(n=n, d=d, p=p), points=points, roles=roles)
+    if doc.get("p", 2) != 2:
+        raise DomainError(f"instance document is not Euclidean: p = {doc['p']!r}")
+    inst = Instance(spec=InstanceSpec(n=n, d=d), points=points, roles=roles)
     if inst != generate(inst.spec):
         raise DomainError("instance document does not describe a G(n, d) point set")
     return inst
@@ -214,10 +187,8 @@ def to_tsplib(inst: Instance, scale: int = 1000) -> str:
 
     Coordinates are multiplied by ``scale`` and rounded to integers.  EUC_2D
     rounds every distance to the nearest integer, so the exported file only
-    approximates G(n, d); larger scales approximate better.  Requires p = 2.
+    approximates G(n, d); larger scales approximate better.
     """
-    if inst.spec.p != 2:
-        raise DomainError("TSPLIB EUC_2D export requires the Euclidean metric (p = 2)")
     if not isinstance(scale, int) or scale < 1:
         raise DomainError(f"scale must be a positive integer, got {scale!r}")
     if not _finite_product(max(inst.points[-1]), scale):  # the last point (n, 3d) is largest

@@ -40,7 +40,6 @@ from .instances import (
     Instance,
     coerce_points,
     generate,
-    lp_distance,
     pairwise_distances,
 )
 from .lp_solver import REDUCED_COST_TOL, LpStatus, SparseLp
@@ -276,7 +275,7 @@ def _mirrors(obj) -> list[np.ndarray]:
     """The point permutations other than the identity that map the input
     onto itself: for a generated G(n, d), the mirror in x, the mirror in y
     and both together; none for any other input.  A mirror keeps every
-    coordinate difference up to sign, so it keeps every L^p distance."""
+    coordinate difference up to sign, so it keeps every distance."""
     if not (isinstance(obj, Instance) and obj == generate(obj.spec)):
         return []
     grid = np.arange(obj.n_points).reshape(3, obj.spec.n)  # grid[row - 1, col - 1]
@@ -342,7 +341,7 @@ def _subtour_lp(n: int, I: np.ndarray, J: np.ndarray, column: np.ndarray, costs:
                         np.cumsum(np.bincount(ends, minlength=n))[:-1])
     objective = np.bincount(column, costs)
     return SparseLp(objective=objective,
-                    eq_rows=[(column[incident[p]], np.ones(len(incident[p])), 2.0) for p in reps],
+                    eq_rows=[(column[incident[v]], np.ones(len(incident[v])), 2.0) for v in reps],
                     ineq_rows=[_subset_row(S, I, J, column, n) for S in subsets],
                     var_bounds=np.tile([0.0, 1.0], (len(objective), 1)))
 
@@ -379,9 +378,9 @@ def solve_subtour_lp(obj) -> tuple[EdgeValueMap, list[CutRecord]]:
     value of e's orbit.  Any other input has the identity alone, and its
     LP is the full LP: one column per edge, one degree row per point.
     """
-    coords, p = coerce_points(obj)
+    coords = coerce_points(obj)
     n = len(coords)
-    dist = pairwise_distances(coords, p)
+    dist = pairwise_distances(coords)
     I, J = edge_endpoints(n)
     costs = dist[I, J]
     core = _quadrant_core(coords, dist)
@@ -491,8 +490,7 @@ def build_half_integral(inst: Instance) -> EdgeValueMap:
         put(mid(nbr), bot(end), 0.5)
         put(mid(end), mid(nbr), 0.5)
 
-    objective = sum(v * lp_distance(inst.points[i], inst.points[j], inst.spec.p)
-                    for i, j, v in support)
+    objective = sum(v * math.dist(inst.points[i], inst.points[j]) for i, j, v in support)
     I, J, values = (np.array(col) for col in zip(*sorted(support)))
     return EdgeValueMap(inst.n_points, I, J, values, objective)
 

@@ -23,13 +23,13 @@ def sparse_row(row, rhs):
     return cols, row[cols], float(rhs)
 
 
-def gline_instance(n: int, d: float, p: float = 2):
-    return generate(InstanceSpec(n=n, d=d, p=p))
+def gline_instance(n: int, d: float):
+    return generate(InstanceSpec(n=n, d=d))
 
 
 def plain_even_k_values(n, d, ks):
     """Reference for gline._even_k_values: the balanced lengths V(k) by the
-    plain elementwise formula, with no shared runs of equal n // k."""
+    plain elementwise formula."""
     q, r = n // ks, n % ks
     sum_c = (ks - r) * (2.0 * (q - 1) + np.hypot(q - 1, d)) + r * (2.0 * q + np.hypot(q, d))
     return n + ks + 2.0 * d - 2.0 + sum_c

@@ -22,7 +22,7 @@ def test_gen_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["points"]) == 54
-    assert doc["p"] == 2
+    assert "p" not in doc  # the metric is Euclidean, and the document names none
 
 
 def test_gen_minimal_instance(capsys):
@@ -38,12 +38,12 @@ def test_gen_rejects_bad_n(capsys):
 
 
 def test_gen_p_values(capsys):
-    code, out, _ = run(capsys, "gen", "--n", "3", "--d", "1", "--p", "inf")
-    assert code == 0
-    assert json.loads(out)["p"] == "inf"
-    code, out, err = run(capsys, "gen", "--n", "3", "--d", "1", "--p", "2.5")
-    assert code == 2 and out == ""
-    assert err == "error: p must be a positive integer or 'inf', got '2.5'\n"
+    # gen takes no metric exponent, not even the Euclidean --p 2
+    for p in ("2", "inf"):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--n", "3", "--d", "1", "--p", p])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --p {p}" in capsys.readouterr().err
 
 
 def test_gen_tsplib_to_file(tmp_path, capsys):
@@ -164,6 +164,23 @@ def test_solve_lp_closed_form_backend(capsys):
     assert out == ""
     assert err == ("error: closed LP form 12.4142135624 does not hold at n=4 d=1: "
                    "a grid tour of length 12 is shorter\n")
+
+
+def test_cutting_plane_lp_refuses_d_past_2_to_the_52(capsys):
+    # past 2^52 the simplex reached its iteration limit (exit 1); now the
+    # cutting-plane LP refuses such a d as a usage error
+    code, out, err = run(capsys, "solve", "lp", "--n", "6", "--d", "5e15")
+    assert (code, out) == (2, "")
+    assert err == "error: the cutting-plane LP needs d <= 2^52, got 5000000000000000.0\n"
+    code, out, _ = run(capsys, "solve", "ratio", "--n", "6", "--d", "5e15",
+                       "--lp-backend", "cutting-plane")
+    assert (code, out) == (2, "")
+    code, out, _ = run(capsys, "solve", "lp", "--n", "6", "--d", "4503599627370496")
+    assert code == 0
+    assert out.splitlines()[0] == "lp = 1.80143985095e+16  [cutting_plane]"
+    code, out, _ = run(capsys, "solve", "lp", "--n", "6", "--d", "5e15", "--backend", "closed-form")
+    assert code == 0
+    assert out.splitlines()[0] == "lp = 2e+16  [closed_form]"
 
 
 def test_solve_lp_omits_the_closed_form_where_it_refuses(capsys):

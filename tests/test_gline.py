@@ -279,9 +279,9 @@ def test_batched_search_inputs():
 
 
 def test_huge_d_neither_overflows_nor_warns():
-    """The start window's q*^2 is past the float range from d of about
-    1.6e77, and the value itself from about 4.5e307; the search stays exact
-    and quiet up to d = 2^1000, where its domain ends."""
+    """d^2 is past the float range from d of about 1.3e154; the kink search
+    clamps d at 2^32 before it squares it, so it stays exact and quiet up to
+    d = 2^1000, where its domain ends."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for d in (1e100, 1e200, 1e300, gline.MAX_ROW_GAP):
@@ -387,10 +387,9 @@ def test_closed_form_tour_value_bounds():
     lambda: insertion_cost_inner(0, 4.0),
     lambda: insertion_cost_end(1.5, 4.0),
     lambda: tour_from_zvector(np.zeros((6, 2)), ZVector((1, 1))),
-    lambda: tour_from_zvector(gline_instance(6, 4.0, p=1), ZVector((3, 3))),
     lambda: zvector_tour_value(10, 3, 4.0, 0.0),
     lambda: balanced_zvector(5, 6),
-], ids=["c_cost-d", "inner-k", "end-k", "tour-raw-array", "tour-p1", "value-odd-k", "balanced-k"])
+], ids=["c_cost-d", "inner-k", "end-k", "tour-raw-array", "value-odd-k", "balanced-k"])
 def test_input_checks_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()

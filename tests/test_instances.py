@@ -1,12 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from gaplab.instances import (
-    INF,
     DomainError,
     InstanceSpec,
     Role,
@@ -15,7 +15,6 @@ from gaplab.instances import (
     export,
     from_json,
     generate,
-    lp_distance,
     pairwise_distances,
     to_json,
     to_tsplib,
@@ -90,11 +89,27 @@ def test_d_whose_rows_overflow_rejected():
         from_json(json.dumps(doc))
 
 
+def metric_document(p) -> str:
+    """The JSON document of G(3, 2) with the metric exponent "p" that
+    earlier versions wrote."""
+    doc = json.loads(to_json(gline_instance(3, 2.0)))
+    doc["p"] = p
+    return json.dumps(doc)
+
+
+def test_old_documents_keep_loading():
+    # earlier versions wrote "p": 2 into every document
+    inst = gline_instance(3, 2.0)
+    assert from_json(metric_document(2)) == inst
+    assert from_json(metric_document(2.0)) == inst
+    assert from_json(to_json(inst)) == inst  # no "p" at all
+
+
 def test_bad_metric_exponent_rejected():
-    with pytest.raises(DomainError):
-        InstanceSpec(n=3, d=1.0, p=0)
-    with pytest.raises(DomainError):
-        InstanceSpec(n=3, d=1.0, p=1.5)
+    # a document of another metric describes a non-Euclidean instance
+    for p in (0, 1, 1.5, 3, "inf"):
+        with pytest.raises(DomainError, match="^instance document is not Euclidean: p = "):
+            from_json(metric_document(p))
 
 
 MALFORMED_P = [None, [2], -math.inf, math.nan, True]
@@ -102,22 +117,15 @@ MALFORMED_P = [None, [2], -math.inf, math.nan, True]
 
 @pytest.mark.parametrize("p", MALFORMED_P, ids=["null", "list", "-inf", "nan", "true"])
 def test_malformed_metric_exponent_is_a_domain_error(p):
-    # p was once passed to int() before its type was checked
-    message = "^p must be a positive integer or INF"
+    message = f"^instance document is not Euclidean: p = {re.escape(repr(p))}$"
     with pytest.raises(DomainError, match=message):
-        InstanceSpec(n=3, d=1.0, p=p)
-    doc = json.loads(to_json(gline_instance(3, 2.0)))
-    doc["p"] = p
-    with pytest.raises(DomainError, match=message):
-        from_json(json.dumps(doc))
+        from_json(metric_document(p))
 
 
 def test_distance_examples():
-    assert lp_distance((0, 0), (3, 4), 2) == pytest.approx(5.0)
-    assert lp_distance((0, 0), (3, 4), 1) == pytest.approx(7.0)
-    assert lp_distance((0, 0), (3, 4), INF) == pytest.approx(4.0)
+    assert pairwise_distances([(0, 0), (3, 4)])[0, 1] == 5.0
     # raw coordinate arithmetic behind the g_1 example: offsets (2, 3)
-    assert lp_distance((2, 6), (0, 3), 2) == pytest.approx(math.sqrt(13))
+    assert pairwise_distances([(2, 6), (0, 3)])[0, 1] == pytest.approx(math.sqrt(13))
 
 
 def test_distance_index_out_of_range():
@@ -127,8 +135,8 @@ def test_distance_index_out_of_range():
 
 
 def test_generate_is_pure():
-    a = generate(InstanceSpec(n=7, d=2.5, p=3))
-    b = generate(InstanceSpec(n=7, d=2.5, p=3))
+    a = generate(InstanceSpec(n=7, d=2.5))
+    b = generate(InstanceSpec(n=7, d=2.5))
     assert a == b
 
 
@@ -137,13 +145,6 @@ def test_json_round_trip():
     again = from_json(to_json(inst))
     assert again == inst
     assert from_json(to_json(inst).encode("utf-8")) == inst  # bytes are decoded as UTF-8
-
-
-def test_json_round_trip_inf_metric():
-    inst = gline_instance(3, 2.0, p=INF)
-    doc = json.loads(to_json(inst))
-    assert doc["p"] == "inf"
-    assert from_json(to_json(inst)) == inst
 
 
 @pytest.mark.parametrize("text", [
@@ -173,11 +174,6 @@ def test_tsplib_export():
     assert "EDGE_WEIGHT_TYPE : EUC_2D" in text
 
 
-def test_tsplib_requires_euclidean_metric():
-    with pytest.raises(DomainError):
-        to_tsplib(gline_instance(4, 4.0, p=1))
-
-
 def test_export_bytes_dispatch():
     inst = gline_instance(3, 1.0)
     assert export(inst, "json").startswith(b"{")
@@ -196,21 +192,23 @@ def test_distance_symmetry_and_identity(n, d):
     assert distance(inst, 0, 0) == 0.0
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 5, INF])
-def test_triangle_inequality_sampled(p, rng):
-    pts = rng.uniform(-10.0, 10.0, size=(60, 2))
+def test_triangle_inequality_sampled(rng):
+    mat = pairwise_distances(rng.uniform(-10.0, 10.0, size=(60, 2)))
     for _ in range(300):
-        a, b, c = pts[rng.integers(0, len(pts), size=3)]
-        assert lp_distance(a, c, p) <= lp_distance(a, b, p) + lp_distance(b, c, p) + 1e-9
+        a, b, c = rng.integers(0, len(mat), size=3)
+        assert mat[a, c] <= mat[a, b] + mat[b, c] + 1e-9
 
 
 def test_pairwise_matches_scalar(rng):
     pts = rng.uniform(-5.0, 5.0, size=(7, 2))
-    for p in (1, 2, 4, INF):
-        mat = pairwise_distances(pts, p)
-        for i in range(7):
-            for j in range(7):
-                assert mat[i, j] == pytest.approx(lp_distance(pts[i], pts[j], p))
+    mat = pairwise_distances(pts)
+    for i in range(7):
+        for j in range(7):
+            assert mat[i, j] == pytest.approx(math.dist(pts[i], pts[j]))
+    # an Instance's matrix holds the values of distance()
+    inst = gline_instance(4, 2.5)
+    assert inst.distance_matrix() == pytest.approx(
+        np.array([[distance(inst, i, j) for j in range(12)] for i in range(12)]))
 
 
 @pytest.mark.parametrize("call", [
