@@ -5,9 +5,15 @@ degree equalities sum_{e at v} x_e = 2, and a subset constraint
 sum_{e inside S} x_e <= |S| - 1 for every proper nonempty S.  Both
 columns and rows are added lazily.  The LP starts on a core edge set (the
 nearest points of each point in each of its four quadrants).  After each
-optimal solve, the LP duals price every edge, and the edges with negative
+optimal solve, the LP duals price the edges, and the edges with negative
 reduced cost join the LP, until none is left: the solution is then
-optimal over all edges by the simplex's own criterion.  Only then is a
+optimal over all edges by the simplex's own criterion.  The subset duals
+are <= 0, so an edge can price in only if its length is below the sum of
+its ends' point duals; a pass lists only the pairs within that radius, by
+their x gap from the points' x order, and costs them from the
+coordinates.  The core is found from x-order windows too, so the loop
+builds no (points x points) array; only the returned solution lists
+every pair.  Only then is a
 violated subset sought, as a global minimum cut below 2 (Stoer-Wagner) on
 the fractional support graph, with its value-1 edges contracted.  When no
 subset is violated, the objective is the subtour-LP optimum, also known
@@ -40,7 +46,7 @@ from .instances import (
     Instance,
     coerce_points,
     generate,
-    pairwise_distances,
+    pairwise_distances,  # the loop costs its pairs itself, bit for bit the same
 )
 from .lp_solver import REDUCED_COST_TOL, LpStatus, SparseLp
 
@@ -48,6 +54,10 @@ SEPARATION_TOL = 1e-6   # a cut below 2 - this counts as violated
 SUPPORT_EPS = 1e-9      # edge values above this form the support graph
 CUT_ROUND_FACTOR = 10   # cut rounds capped at this times the point count
 CORE_NEIGHBOURS = 2     # the core edge set: this many nearest points per quadrant
+WINDOW_BLOCK = 1 << 16  # point pairs looked at per block by the core and by pricing
+# Past d = 2^52 the middle row of G(n, d), at 2d, lies where floats are 2 apart: a unit
+# length is lost in the rounding of the LP's costs, and the simplex reaches its iteration limit.
+MAX_CUTTING_PLANE_D = 2.0 ** 52
 
 
 class SubtourSolveError(RuntimeError):
@@ -243,32 +253,96 @@ def separate(x: EdgeValueMap) -> frozenset[int] | None:
 
 # -- cutting-plane driver -----------------------------------------------------
 
-def _quadrant_core(coords: np.ndarray, dist: np.ndarray) -> np.ndarray:
+def _pair_costs(coords: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The lengths of the pairs (a[k], b[k]): bit for bit the entries of
+    :func:`pairwise_distances`, with no (points x points) array."""
+    return np.hypot(np.abs(coords[a, 0] - coords[b, 0]), np.abs(coords[a, 1] - coords[b, 1]))
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values, ascending: np.unique, whose first call imports
+    numpy.ma, more than a megabyte that nothing else here needs."""
+    values = np.sort(values)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
+def _quadrant_core(coords: np.ndarray) -> np.ndarray:
     """The core edge set, as ascending indices into :func:`edge_endpoints`:
     every point joined to its CORE_NEIGHBOURS nearest points in each of
-    the four half-open quadrants around it (ties to the lower index).  A
-    boolean mask of the upper triangle lists them row-major, in that order.
+    the four half-open quadrants around it (ties to the lower index).
 
     Quadrant neighbours reach across the long rungs of G(n, sqrt(n-1)),
     which plain nearest neighbours miss (Applegate, Bixby, Chvatal and
     Cook, The Traveling Salesman Problem, 2006).
+
+    In the order by x, then by y downwards, quadrants 0 (dx > 0, dy >= 0)
+    and 3 (dx >= 0, dy < 0) of a point lie after it, and quadrants 1
+    (dx <= 0, dy > 0) and 2 (dx < 0, dy <= 0) before it.  Each point looks
+    at a window of its neighbours in that order, which doubles until every
+    quadrant is settled: no point past the window on its side may lie in
+    it, or its CORE_NEIGHBOURS-th nearest point in the window is nearer
+    than the x gap to the first point past the window, since every point
+    past it is at least that gap away.  The windows are looked at in
+    blocks of about WINDOW_BLOCK pairs, and no (points x points) array is
+    built.
     """
     n = len(coords)
-    dx = coords[None, :, 0] - coords[:, None, 0]
-    dy = coords[None, :, 1] - coords[:, None, 1]
-    quadrant = np.full((n, n), -1, dtype=np.int8)  # -1: the point itself and its duplicates
-    for q, inside in enumerate(((dx > 0) & (dy >= 0), (dx <= 0) & (dy > 0),
-                                (dx < 0) & (dy <= 0), (dx >= 0) & (dy < 0))):
-        quadrant[inside] = q
-    order = np.argsort(dist, axis=1, kind="stable")
-    quadrant = np.take_along_axis(quadrant, order, axis=1)
-    pick = np.zeros((n, n), dtype=bool)
-    for q in range(4):
-        hit = quadrant == q
-        pick |= hit & (np.cumsum(hit, axis=1, dtype=np.int32) <= CORE_NEIGHBOURS)
-    np.put_along_axis(pick, order, pick.copy(), axis=1)  # back from distance order to point order
-    keep = pick | pick.T
-    return np.flatnonzero(keep[np.triu(np.ones_like(keep), 1)])
+    order = np.lexsort((-coords[:, 1], coords[:, 0]))
+    # Positions in that order, 2n past each end.  A window stops doubling
+    # once it holds every point, so it reaches less than 2n, and past the
+    # ends it reads NaN, which lies in no quadrant.  The least and greatest
+    # y up to each position, and from it on, read +-inf there, so that no
+    # point seems to lie past the ends.
+    def padded(values, fill):
+        return np.concatenate([np.full(2 * n, fill), values, np.full(2 * n, fill)])
+    ys = coords[order, 1]
+    x, y, index = padded(coords[order, 0], math.nan), padded(ys, math.nan), padded(order, 0)
+    low_before = padded(np.minimum.accumulate(ys), math.inf)
+    high_before = padded(np.maximum.accumulate(ys), -math.inf)
+    low_after = padded(np.minimum.accumulate(ys[::-1])[::-1], math.inf)
+    high_after = padded(np.maximum.accumulate(ys[::-1])[::-1], -math.inf)
+    side = [0, 1, 1, 0]  # of each quadrant: 0 after the point, 1 before it
+    ends = []
+    # positions and their window's reach on each side
+    todo = [(np.arange(2 * n, 3 * n), 2 * math.isqrt(n) + 2)]
+    while todo:
+        pos, reach = todo.pop()
+        rows = max(1, WINDOW_BLOCK // (2 * reach))
+        if len(pos) > rows:
+            todo += [(pos[k:k + rows], reach) for k in range(0, len(pos), rows)]
+            continue
+        step = np.arange(1, reach + 1)
+        q = pos[:, None, None] + np.stack([step, -step])  # (points, side, step)
+        dx = x[q] - x[pos, None, None]
+        dy = y[q] - y[pos, None, None]
+        key = np.empty(q.shape, dtype=complex)  # orders by distance, ties to the lower index
+        key.real, key.imag = np.hypot(np.abs(dx), np.abs(dy)), index[q]
+        after, before = (dx[:, 0], dy[:, 0]), (dx[:, 1], dy[:, 1])
+        quadrants = np.stack([(after[0] > 0) & (after[1] >= 0), before[1] > 0,
+                              (before[0] < 0) & (before[1] <= 0), after[1] < 0], axis=1)
+        # each quadrant's nearest points in the window, in no order but the
+        # last, inf past the last point of the quadrant
+        last = min(CORE_NEIGHBOURS, reach) - 1
+        nearest = np.partition(np.where(quadrants, key[:, side], math.inf), last, axis=2)
+        nearest = nearest[:, :, :last + 1]
+        farthest = nearest[:, :, last].real if last == CORE_NEIGHBOURS - 1 else math.inf
+        # the first position past the window on each side: its x gap, and
+        # whether the points from it on may lie in each quadrant
+        after, before, y0 = pos + reach + 1, pos - reach - 1, y[pos]
+        gap = np.stack([x[after] - x[pos], x[pos] - x[before]], axis=1)[:, side]
+        may_hold = np.stack([high_after[after] >= y0, high_before[before] > y0,
+                             low_before[before] <= y0, low_after[after] < y0], axis=1)
+        settled = (~may_hold | (farthest < gap)).all(axis=1)
+        nearest = nearest[settled]
+        found = nearest.real < math.inf
+        ends.append((np.broadcast_to(index[pos[settled], None, None], nearest.shape)[found],
+                     nearest.imag[found].astype(np.intp)))
+        if not settled.all():
+            todo.append((pos[~settled], 2 * reach))
+    a, b = (np.concatenate(ends_of) for ends_of in zip(*ends))
+    return _distinct(_pair_positions(a, b, n))
 
 
 def _mirrors(obj) -> list[np.ndarray]:
@@ -295,6 +369,24 @@ def _pair_positions(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return pos
 
 
+def _pair_ends(pos: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j), i < j, at the positions pos in :func:`edge_endpoints`
+    order: the inverse of :func:`_pair_positions`."""
+    first = np.arange(n - 1)
+    first = first * (2 * n - 3 - first) // 2 + first  # the position of (i, i + 1)
+    i = np.searchsorted(first, pos, side="right") - 1
+    return i, pos - first[i] + i + 1
+
+
+def _least_edges(a: np.ndarray, b: np.ndarray, n: int, mirrors: list[np.ndarray]) -> np.ndarray:
+    """The least edge, in :func:`edge_endpoints` order, of the orbit of
+    every pair (a[k], b[k])."""
+    least = _pair_positions(a.copy(), b.copy(), n)
+    for g in mirrors:
+        np.minimum(least, _pair_positions(g[a], g[b], n), out=least)
+    return least
+
+
 def _least_image(S, mirrors: list[np.ndarray]) -> frozenset[int]:
     """Of S and its images, the one whose sorted points come first: the
     images of a subset give one row over the orbits."""
@@ -302,12 +394,12 @@ def _least_image(S, mirrors: list[np.ndarray]) -> frozenset[int]:
     return frozenset(min([points, *(sorted(g[points].tolist()) for g in mirrors)]))
 
 
-def _orbit_edges(cols: np.ndarray, I: np.ndarray, J: np.ndarray, n: int,
-                 mirrors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Every edge of the orbits whose least edges are cols, with the LP
-    column of its orbit: cols first, then their images under each mirror,
+def _orbit_edges(cols: np.ndarray, n: int, mirrors: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge of the orbits whose least edges are cols, with the index
+    in cols of its orbit: cols first, then their images under each mirror,
     each edge once."""
-    images = np.stack([cols, *(_pair_positions(g[I[cols]], g[J[cols]], n) for g in mirrors)])
+    I, J = _pair_ends(cols, n)
+    images = np.stack([cols, *(_pair_positions(g[I], g[J], n) for g in mirrors)])
     first = np.ones(images.shape, dtype=bool)  # an image not met earlier in its column
     for k in range(1, len(images)):
         first[k] = (images[k] != images[:k]).all(axis=0)
@@ -360,12 +452,66 @@ def _reduced_costs(costs: np.ndarray, I: np.ndarray, J: np.ndarray, n: int, dual
     return np.subtract(costs, potential, out=potential)
 
 
+def _radius_pairs(coords: np.ndarray, order: np.ndarray, u: np.ndarray, margin: float):
+    """Every pair (i, j) with c_ij < u_i + u_j + margin, as (i's, j's) in
+    blocks of at most about WINDOW_BLOCK listed pairs.  Such a pair has
+    |x_i - x_j| <= c_ij < u_i + max u + margin, so only the pairs within
+    that x gap are listed, from the x order of the points, and costed."""
+    x, y, v = coords[order, 0], coords[order, 1], u[order]
+    reach = v + (v.max() + 2 * margin)  # the second margin covers the rounding of x + reach
+    count = np.maximum(np.searchsorted(x, x + reach, side="right") - np.arange(1, len(x) + 1), 0)
+    total = np.cumsum(count)
+    starts = np.searchsorted(total, np.arange(0, total[-1], WINDOW_BLOCK), side="right")
+    for lo, hi in zip(starts, [*starts[1:], len(x)]):
+        c = count[lo:hi]
+        p = np.repeat(np.arange(lo, hi), c)
+        q = np.arange(len(p)) - np.repeat(np.cumsum(c) - c - np.arange(lo + 1, hi + 1), c)
+        near = np.hypot(x[q] - x[p], np.abs(y[q] - y[p])) < v[p] + v[q] + margin  # x[q] >= x[p]
+        yield order[p[near]], order[q[near]]
+
+
+def _entering(coords: np.ndarray, order: np.ndarray, duals: np.ndarray, subsets,
+              lp_edges: np.ndarray, mirrors: list[np.ndarray]) -> np.ndarray:
+    """The least edges, ascending, of the orbits outside the LP (whose
+    edges are lp_edges) whose edges' reduced costs sum below
+    -REDUCED_COST_TOL.
+
+    The subset rows are <= rows, so their duals are <= 0 up to rounding,
+    and c_e - u_i - u_j bounds e's reduced cost from below up to the
+    positive ones.  An orbit whose edges all have c_e >= u_i + u_j + margin
+    thus has no negative reduced cost: margin holds the positive cut duals
+    and a bound on the rounding.  The orbits of the other edges are priced
+    over all their edges, each orbit's sum taken in edge order, as one
+    pass over every edge would take it."""
+    n = len(coords)
+    u, cut = duals[:n], duals[n:]
+    margin = cut.clip(0).sum() + 2.0 ** -40 * (2 * np.abs(u).max() + np.abs(cut).sum()
+                                             + np.abs(coords).max())
+    lp_edges = np.sort(lp_edges)
+    found = [np.zeros(0, dtype=np.intp)]
+    for a, b in _radius_pairs(coords, order, u, margin):
+        pos = _pair_positions(a.copy(), b.copy(), n)
+        outside = lp_edges[np.searchsorted(lp_edges, pos).clip(max=len(lp_edges) - 1)] != pos
+        if not outside.any():
+            continue
+        # the LP holds whole orbits, so the orbits of these pairs are all outside it
+        orbits = _distinct(_least_edges(a[outside], b[outside], n, mirrors))
+        edges, orbit = _orbit_edges(orbits, n, mirrors)
+        by_edge = np.argsort(edges)
+        edges, orbit = edges[by_edge], orbit[by_edge]
+        I, J = _pair_ends(edges, n)
+        reduced = _reduced_costs(_pair_costs(coords, I, J), I, J, n, duals, subsets)
+        found.append(orbits[np.bincount(orbit, reduced, len(orbits)) < -REDUCED_COST_TOL])
+    return _distinct(np.concatenate(found))
+
+
 def solve_subtour_lp(obj) -> tuple[EdgeValueMap, list[CutRecord]]:
     """Exact subtour-LP optimum of an Instance or raw (N, 2) point array.
 
     Returns the last round's edge values over every point pair, optimal
     over all edges and with no violated subset, together with the cuts
-    added on the way.
+    added on the way.  A G(n, d) Instance with d > MAX_CUTTING_PLANE_D is
+    refused with DomainError before the LP is built.
 
     A generated G(n, d) is solved over the orbits of its mirrors (module
     docstring): one LP column per edge orbit, costing the sum of its
@@ -374,72 +520,70 @@ def solve_subtour_lp(obj) -> tuple[EdgeValueMap, list[CutRecord]]:
     subset joins the LP as the least of its images.  Pricing stays per
     edge, with each point orbit's dual spread evenly over its points, and
     an orbit enters when its edges' reduced costs sum below
-    -REDUCED_COST_TOL.  Separation and the returned values take x_e = the
+    -REDUCED_COST_TOL; only the orbits of the edges within their ends'
+    dual radius are priced (:func:`_entering`), and they are all such
+    orbits.  Separation and the returned values take x_e = the
     value of e's orbit.  Any other input has the identity alone, and its
     LP is the full LP: one column per edge, one degree row per point.
     """
+    if isinstance(obj, Instance) and obj.spec.d > MAX_CUTTING_PLANE_D:
+        raise DomainError(f"the cutting-plane LP needs d <= 2^52, got {obj.spec.d!r}")
     coords = coerce_points(obj)
     n = len(coords)
-    dist = pairwise_distances(coords)
-    I, J = edge_endpoints(n)
-    costs = dist[I, J]
-    core = _quadrant_core(coords, dist)
-    del dist
-
+    order = np.argsort(coords[:, 0], kind="stable")  # the x order that pricing lists pairs from
     mirrors = _mirrors(obj)
-    orbit = np.arange(len(I))   # the least edge of every edge's orbit
     point_orbit = np.arange(n)  # the least point of every point's orbit
     for g in mirrors:
-        np.minimum(orbit, _pair_positions(g[I], g[J], n), out=orbit)
         np.minimum(point_orbit, g, out=point_orbit)
     reps = np.flatnonzero(point_orbit == np.arange(n))  # one degree row each
     row = np.searchsorted(reps, point_orbit)             # every point's degree row
     share = np.bincount(point_orbit)[point_orbit]        # the size of every point's orbit
+    subsets: list[frozenset[int]] = []
+
+    def orbit_lp(cols: np.ndarray):
+        """The LP over the orbits whose least edges are cols, with its
+        edges, their ends and the LP column of each."""
+        edges, column = _orbit_edges(cols, n, mirrors)
+        I, J = _pair_ends(edges, n)
+        lp = _subtour_lp(n, I, J, column, _pair_costs(coords, I, J), reps, subsets)
+        return lp, I, J, edges, column
 
     # the LP's columns, as the least edges of their orbits
-    cols = np.flatnonzero(np.bincount(orbit[core], minlength=len(I)))
-    edges, column = _orbit_edges(cols, I, J, n, mirrors)
-    subsets: list[frozenset[int]] = []
-    lp = _subtour_lp(n, I[edges], J[edges], column, costs[edges], reps, subsets)
+    cols = _distinct(_least_edges(*_pair_ends(_quadrant_core(coords), n), n, mirrors))
+    lp, I, J, edges, column = orbit_lp(cols)
     records: list[CutRecord] = []
     sol = None  # every solve warm-starts from the previous one
 
     for _round in range(CUT_ROUND_FACTOR * n):
-        while True:  # price every edge until no orbit has a negative reduced cost
+        while True:  # price until no orbit has a negative reduced cost
             sol = lp_solver.solve(lp, start=sol)
             if sol.status is LpStatus.OPTIMAL:
-                # the edge-sized reduced costs are dropped before the next solve
                 duals = np.concatenate([sol.duals[row] / share, sol.duals[len(reps):]])
-                prices_in = np.bincount(orbit, _reduced_costs(costs, I, J, n, duals, subsets),
-                                        len(I)) < -REDUCED_COST_TOL
-                prices_in[cols] = False
-                new = np.flatnonzero(prices_in)
+                new = _entering(coords, order, duals, subsets, edges, mirrors)
                 if not new.size:
                     break
             else:
-                # the core admits no solution: take every orbit
-                missing = orbit == np.arange(len(I))
+                # the core admits no solution: take every orbit, from every pair
+                missing = _least_edges(*edge_endpoints(n), n, mirrors) == np.arange(n * (n - 1) // 2)
                 missing[cols] = False
                 new = np.flatnonzero(missing)
                 if sol.status is not LpStatus.INFEASIBLE or not new.size:
                     raise SubtourSolveError(f"subtour LP solve returned {sol.status.value}")
             cols = np.concatenate([cols, new])
-            edges, column = _orbit_edges(cols, I, J, n, mirrors)
-            lp = _subtour_lp(n, I[edges], J[edges], column, costs[edges], reps, subsets)
-        order = np.argsort(edges)  # separate on the LP's edges, in edge_endpoints order
-        x = EdgeValueMap(n, I[edges[order]], J[edges[order]], sol.values[column[order]],
-                         sol.objective_value)
+            lp, I, J, edges, column = orbit_lp(cols)
+        by_edge = np.argsort(edges)  # separate on the LP's edges, in edge_endpoints order
+        x = EdgeValueMap(n, I[by_edge], J[by_edge], sol.values[column[by_edge]], sol.objective_value)
         violated = _shrunk_violated_sets(x)
         if not violated:
-            values = np.zeros(len(I))
+            values = np.zeros(n * (n - 1) // 2)
             values[edges] = sol.values[column]
-            return EdgeValueMap(n, I, J, values, sol.objective_value), records
+            return EdgeValueMap(n, *edge_endpoints(n), values, sol.objective_value), records
         found = len(subsets)
         for S, cut_value in violated:
             S = _least_image(S, mirrors)
             if S not in subsets:
                 subsets.append(S)
-                lp.ineq_rows.append(_subset_row(S, I[edges], J[edges], column, n))
+                lp.ineq_rows.append(_subset_row(S, I, J, column, n))
                 records.append(CutRecord(subset=S, violation=2.0 - cut_value))
         if len(subsets) == found:
             # a subset whose row is already present cannot stay violated beyond

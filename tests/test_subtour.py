@@ -576,7 +576,7 @@ def test_orbit_lp_recovers_from_a_poor_core(monkeypatch):
         calls.append((lp.n_vars, solve_lp(lp, start=start, **kwargs)))
         return calls[-1][1]
     path = np.array([i * 18 - i * (i + 1) // 2 for i in range(17)])
-    monkeypatch.setattr(sub, "_quadrant_core", lambda coords, dist: path)
+    monkeypatch.setattr(sub, "_quadrant_core", lambda coords: path)
     monkeypatch.setattr(sub.lp_solver, "solve", recording_solve)
     x, _cuts = solve_subtour_lp(inst)
     assert calls[0][1].status is LpStatus.INFEASIBLE
@@ -713,12 +713,13 @@ def test_benchmark_point_sets_match_highs(k):
                                               abs=1e-6)
 
 
-def reference_quadrant_core(coords, dist):
+def reference_quadrant_core(coords, neighbours):
     """The core edge set, one point and one quadrant at a time: the
-    CORE_NEIGHBOURS nearest points in each half-open quadrant (distance
-    ties to the lower index, the point and its duplicates left out), joined
-    both ways, as positions in edge_endpoints order."""
+    neighbours nearest points in each half-open quadrant (Euclidean
+    distance ties to the lower index, the point and its duplicates left
+    out), joined both ways, as positions in edge_endpoints order."""
     n = len(coords)
+    dist = pairwise_distances(coords)
     quadrants = (lambda dx, dy: dx > 0 and dy >= 0, lambda dx, dy: dx <= 0 and dy > 0,
                  lambda dx, dy: dx < 0 and dy <= 0, lambda dx, dy: dx >= 0 and dy < 0)
     edges = set()
@@ -726,27 +727,48 @@ def reference_quadrant_core(coords, dist):
         for inside in quadrants:
             near = sorted((float(dist[i, j]), j) for j in range(n)
                           if inside(coords[j, 0] - coords[i, 0], coords[j, 1] - coords[i, 1]))
-            edges.update((min(i, j), max(i, j)) for _, j in near[:CORE_NEIGHBOURS])
+            edges.update((min(i, j), max(i, j)) for _, j in near[:neighbours])
     position = {pair: k for k, pair in enumerate(zip(*(e.tolist() for e in edge_endpoints(n))))}
     return sorted(position[e] for e in edges)
 
 
-@pytest.mark.parametrize("points, p", [
+LATTICE = np.array([(i, j) for i in range(5) for j in range(5)], dtype=float)
+
+
+@pytest.mark.parametrize("points, neighbours", [
     *((pts, 2) for pts in np.random.default_rng(7).uniform(0.0, 10.0, size=(4, 25, 2))),
     # integer grids: distance ties, points on the quadrant axes, duplicates
-    *((pts, p) for pts, p in zip(np.random.default_rng(8).integers(0, 4, size=(6, 20, 2)),
+    *((pts, k) for pts, k in zip(np.random.default_rng(8).integers(0, 4, size=(6, 20, 2)),
                                   (2, 1, math.inf, 2, 1, math.inf))),
     (np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), 2),
     *((gline_instance(n, d).coords(), 2) for n, d in ((3, 1.0), (6, 3.0), (18, math.sqrt(17)))),
     (gline_instance(7, 4.0).coords(), 1),
+    # a 5 x 5 lattice, then with every fourth point twice: a duplicate ties
+    # with its twin at every distance
+    *((LATTICE, k) for k in (2, 1, math.inf)),
+    *((np.vstack([LATTICE, LATTICE[::4]]), k) for k in (2, 1, math.inf)),
 ])
-def test_quadrant_core_matches_a_point_by_point_reference(points, p):
-    # the L1 and L-infinity matrices give ties that the Euclidean one does not
+def test_quadrant_core_matches_a_point_by_point_reference(monkeypatch, points, neighbours):
+    # one, two (the core's own count) and every point per quadrant; with
+    # every point, a quadrant settles only once no point past the window
+    # may lie in it
+    import gaplab.subtour as sub
     coords = np.asarray(points, dtype=float)
-    diff = np.abs(coords[:, None, :] - coords[None, :, :])
-    dist = {1: diff.sum(2), 2: pairwise_distances(coords), math.inf: diff.max(2)}[p]
-    got = _quadrant_core(coords, dist)
-    assert got.tolist() == reference_quadrant_core(coords, dist)
+    count = min(neighbours, len(coords))
+    monkeypatch.setattr(sub, "CORE_NEIGHBOURS", count)
+    assert sub._quadrant_core(coords).tolist() == reference_quadrant_core(coords, count)
+
+
+def test_quadrant_core_windows_cover_large_sets(monkeypatch):
+    # small blocks and far-off points: the windows double past their
+    # blocks' ends, and a point alone on its side settles only at the end
+    import gaplab.subtour as sub
+    coords = np.vstack([np.random.default_rng(9).uniform(0.0, 10.0, size=(60, 2)),
+                        [[-50.0, 5.0], [60.0, 5.0], [5.0, 80.0]]])
+    expected = reference_quadrant_core(coords, CORE_NEIGHBOURS)
+    assert _quadrant_core(coords).tolist() == expected
+    monkeypatch.setattr(sub, "WINDOW_BLOCK", 8)
+    assert sub._quadrant_core(coords).tolist() == expected
 
 
 def test_loop_recovers_from_a_poor_core(monkeypatch):
@@ -760,7 +782,7 @@ def test_loop_recovers_from_a_poor_core(monkeypatch):
         return calls[-1][1]
     # a Hamiltonian path leaves its two ends one edge each: no degree-2 point
     path = np.array([i * 18 - i * (i + 1) // 2 for i in range(17)])
-    monkeypatch.setattr(sub, "_quadrant_core", lambda coords, dist: path)
+    monkeypatch.setattr(sub, "_quadrant_core", lambda coords: path)
     monkeypatch.setattr(sub.lp_solver, "solve", recording_solve)
     x, _cuts = solve_subtour_lp(inst.coords())
     assert calls[0][0] == 17 and calls[0][1].status is LpStatus.INFEASIBLE
@@ -771,7 +793,7 @@ def test_loop_recovers_from_a_poor_core(monkeypatch):
     # closing the path into a cycle makes the core feasible but far from
     # optimal: only pricing can bring in the edges the optimum uses
     cycle = np.append(path, 17 - 1)  # the pair (0, 17)
-    monkeypatch.setattr(sub, "_quadrant_core", lambda coords, dist: cycle)
+    monkeypatch.setattr(sub, "_quadrant_core", lambda coords: cycle)
     calls.clear()
     x, _cuts = solve_subtour_lp(inst.coords())
     assert calls[0][1].status is LpStatus.OPTIMAL
@@ -836,3 +858,144 @@ def test_construction_stays_lp_optimal_into_the_proven_regime(n):
 def test_input_checks_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_blocks_of_any_size_give_the_same_solve(monkeypatch):
+    # the core and pricing look at pairs a block at a time; blocks of a few
+    # pairs take other paths through both and reach the same solution
+    import gaplab.subtour as sub
+    cases = [gline_instance(18, math.sqrt(17)), np.random.default_rng(101).uniform(0.0, 100.0, (40, 2))]
+    expected = [sub.solve_subtour_lp(obj) for obj in cases]
+    monkeypatch.setattr(sub, "WINDOW_BLOCK", 16)
+    for obj, (x, cuts) in zip(cases, expected):
+        y, y_cuts = sub.solve_subtour_lp(obj)
+        assert y.objective_value == x.objective_value
+        assert np.array_equal(y.values, x.values)
+        assert [c.subset for c in y_cuts] == [c.subset for c in cuts]
+
+
+@pytest.mark.parametrize("obj", [gline_instance(18, math.sqrt(17)),
+                                 np.random.default_rng(5).uniform(0.0, 100.0, (60, 2))],
+                         ids=["G18", "random60"])
+def test_radius_pricing_enters_what_pricing_every_edge_enters(monkeypatch, obj):
+    # each pass's duals, then the same with every point dual raised so that
+    # an edge outside the LP, at one of four places in the order of
+    # c_e - u_i - u_j, lands just inside its ends' radius: the entering
+    # orbits are those of one pass over every edge, each orbit's reduced
+    # costs summed in edge order
+    import gaplab.subtour as sub
+    passes, entering = [], sub._entering
+
+    def recording(coords, order, duals, subsets, lp_edges, mirrors):
+        passes.append((coords, order, duals, list(subsets), lp_edges, mirrors))
+        return entering(coords, order, duals, subsets, lp_edges, mirrors)
+    monkeypatch.setattr(sub, "_entering", recording)
+    sub.solve_subtour_lp(obj)
+    coords, mirrors = passes[0][0], passes[0][5]
+    n = len(coords)
+    I, J = edge_endpoints(n)
+    costs = pairwise_distances(coords)[I, J]
+    position = {pair: k for k, pair in enumerate(zip(I.tolist(), J.tolist()))}
+    group = [np.arange(n), *mirrors]
+    orbit = np.array([min(position[tuple(sorted((int(g[i]), int(g[j]))))] for g in group)
+                      for i, j in zip(I.tolist(), J.tolist())])
+    found = 0
+    for coords, order, duals, subsets, lp_edges, mirrors in passes:
+        outside = np.ones(len(I), dtype=bool)
+        outside[orbit[lp_edges]] = False
+        slack = costs - duals[I] - duals[J]
+        slack = np.sort(slack[outside[orbit] & (slack > 0)])
+        for raised in (0.0, *(slack[k * len(slack) // 8] / 2 + 5e-7 for k in (0, 1, 2, 4))):
+            y = duals.copy()
+            y[:n] += raised
+            every = np.bincount(orbit, _reduced_costs(costs, I, J, n, y, subsets), len(I))
+            expected = np.flatnonzero(outside & (every < -REDUCED_COST_TOL))
+            assert entering(coords, order, y, subsets, lp_edges, mirrors).tolist() == expected.tolist()
+            found += len(expected)
+    assert len(passes) >= 2 and found
+
+
+@pytest.mark.parametrize("obj,objective", [
+    (gline_instance(60, math.sqrt(59)), float.fromhex("0x1.9d942cc0b115cp+7")),
+    (np.random.default_rng(101).uniform(0.0, 100.0, size=(6, 100, 2))[0],
+     float.fromhex("0x1.8dceda0953128p+9")),
+], ids=["G60", "lp-cuts-101-set0"])
+def test_loop_builds_no_distance_matrix(monkeypatch, obj, objective):
+    # the core and pricing cost their pairs from the coordinates; the
+    # objectives are those of the all-pairs loop, bit for bit
+    import gaplab.instances as instances
+    import gaplab.subtour as sub
+
+    def refuse(coords):
+        raise AssertionError("the LP loop built a distance matrix")
+    monkeypatch.setattr(sub, "pairwise_distances", refuse)
+    monkeypatch.setattr(instances, "pairwise_distances", refuse)
+    x, _cuts = sub.solve_subtour_lp(obj)
+    assert x.objective_value == objective
+
+
+def test_solve_refuses_d_past_2_to_the_52_before_any_pivot(monkeypatch):
+    # past 2^52 the simplex reached its iteration limit after 3,561 pivots
+    import gaplab.subtour as sub
+
+    def no_solve(lp, start=None, **kwargs):
+        raise AssertionError("an LP was solved")
+    monkeypatch.setattr(sub.lp_solver, "solve", no_solve)
+    refusal = r"^the cutting-plane LP needs d <= 2\^52, got 5000000000000000\.0$"
+    with pytest.raises(DomainError, match=refusal):
+        sub.solve_subtour_lp(gline_instance(6, 5e15))
+
+
+def flow_subtour_optimum(points):
+    """Third independent oracle, with no cutting planes: the compact flow
+    formulation (Wong, 1980), solved by HiGHS.  x_e in [0, 1] with degree
+    2 at every point, and for every point t != 0 a flow of 2 from point 0
+    to t over the arcs, each arc's flow at most the x of its edge.  By
+    max-flow min-cut its projection on x is the subtour polytope.  Costs
+    come from math.dist; no gaplab code is used."""
+    sparse = pytest.importorskip("scipy.sparse")
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    points = [tuple(map(float, p)) for p in points]
+    n = len(points)
+    I, J = (np.array(e) for e in zip(*itertools.combinations(range(n), 2)))
+    m = len(I)
+    tails, heads = np.concatenate([I, J]), np.concatenate([J, I])  # arc a and arc a + m share edge a
+    costs = [math.dist(points[i], points[j]) for i, j in zip(I, J)]
+    eq_row = [np.concatenate([I, J])]
+    eq_col = [np.tile(np.arange(m), 2)]
+    eq_val = [np.ones(2 * m)]
+    b_eq = [np.full(n, 2.0)]
+    for t in range(1, n):  # commodity t: out - in = 2 at point 0, -2 at t, 0 elsewhere
+        rows, cols = t * n, m + (t - 1) * 2 * m + np.arange(2 * m)
+        eq_row += [rows + tails, rows + heads]
+        eq_col += [cols, cols]
+        eq_val += [np.ones(2 * m), -np.ones(2 * m)]
+        supply = np.zeros(n)
+        supply[0], supply[t] = 2.0, -2.0
+        b_eq.append(supply)
+    arcs = 2 * m * (n - 1)  # every flow at most the x of its edge
+    a_ub = sparse.csr_matrix((np.concatenate([np.ones(arcs), -np.ones(arcs)]),
+                              (np.tile(np.arange(arcs), 2),
+                               np.concatenate([m + np.arange(arcs), np.arange(arcs) % m]))),
+                             shape=(arcs, m + arcs))
+    a_eq = sparse.csr_matrix((np.concatenate(eq_val), (np.concatenate(eq_row), np.concatenate(eq_col))),
+                             shape=(n * n, m + arcs))
+    res = linprog(np.concatenate([costs, np.zeros(arcs)]), A_ub=a_ub, b_ub=np.zeros(arcs),
+                  A_eq=a_eq, b_eq=np.concatenate(b_eq), bounds=(0.0, 1.0), method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+@pytest.mark.parametrize("obj", [
+    *(gline_instance(n, d) for n in (6, 7) for d in (1.0, 3.0, 4.0)),
+    gline_instance(8, 4.0),
+    *np.random.default_rng(31).uniform(0.0, 100.0, size=(2, 20, 2)),
+], ids=[*(f"G{n}-{d:g}" for n in (6, 7) for d in (1.0, 3.0, 4.0)), "G8-4", "random0", "random1"])
+def test_orbit_and_full_lp_match_the_flow_formulation(obj):
+    # the flow LP shares no code with the cutting-plane loop: not the core,
+    # pricing, separation, the orbits or the simplex
+    forms = [obj, obj.coords()] if hasattr(obj, "coords") else [obj]
+    optimum = flow_subtour_optimum(forms[-1])
+    for form in forms:
+        x, _cuts = solve_subtour_lp(form)
+        assert x.objective_value == pytest.approx(optimum, abs=1e-9)
